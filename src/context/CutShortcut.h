@@ -32,9 +32,9 @@
 /// "Clean" means the variable has no instruction definition in the body
 /// (its only values arrive through the parameter/this binding), which is
 /// what makes the per-edge shortcuts cover the generic cross-product flow.
-/// Plans are derived purely from program structure, so the worklist
-/// solver, the summary solver, and the Datalog reference model all consume
-/// the same plan and stay bit-identical.
+/// Plans are derived purely from program structure, so the solver and the
+/// Datalog reference model both consume the same plan and stay
+/// bit-identical.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,8 +112,8 @@ struct CutShortcutPlan {
 };
 
 /// Derives the plan for \p Prog under \p Mode.  Pure function of program
-/// structure; both solver engines and the reference model must consume the
-/// same plan instance (via ContextPolicy::cutPlan) to stay comparable.
+/// structure; the solver and the reference model must consume the same
+/// plan instance (via ContextPolicy::cutPlan) to stay comparable.
 CutShortcutPlan computeCutShortcutPlan(const Program &Prog, CutMode Mode);
 
 } // namespace pt

@@ -65,9 +65,9 @@ public:
   virtual CtxId mergeStatic(InvokeId Invo, CtxId Ctx) = 0;
 
   /// The cut-shortcut plan of this policy, or null for pure context-tuple
-  /// policies.  When non-null, both solver engines cut the planned flows
-  /// at call boundaries and wire per-call-edge shortcut edges instead, and
-  /// the Datalog reference model mirrors the same cuts (see
+  /// policies.  When non-null, the solver cuts the planned flows at call
+  /// boundaries and wires per-call-edge shortcut edges instead, and the
+  /// Datalog reference model mirrors the same cuts (see
   /// context/CutShortcut.h).
   virtual const CutShortcutPlan *cutPlan() const { return nullptr; }
 

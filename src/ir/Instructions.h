@@ -75,8 +75,8 @@ struct StoreInstr {
 /// analysis").
 ///
 /// Semantically a move that only propagates objects whose allocation site
-/// is untainted (\c HeapInfo::TaintTag == 0): the engines wire it as a
-/// cast edge with an invalid filter type, which both solvers interpret as
+/// is untainted (\c HeapInfo::TaintTag == 0): the solver and the Datalog
+/// reference wire it as a cast edge with an invalid filter type, read as
 /// "pass iff the heap carries no taint tag".  For programs without taint
 /// instrumentation it degenerates to a plain move (no heap carries a
 /// tag).  Emitted by taint::instrument() for sanitizer call results and

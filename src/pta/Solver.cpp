@@ -804,3 +804,9 @@ AnalysisResult Solver::harvest() {
   }
   return Result;
 }
+
+AnalysisResult pt::solveProgram(const Program &Prog, ContextPolicy &Policy,
+                                const SolverOptions &Opts) {
+  Solver S(Prog, Policy, Opts);
+  return S.run();
+}

@@ -76,7 +76,6 @@ PrecisionMetrics runOneCell(const Program &Prog, const std::string &Policy,
       AnalysisResult R = [&] {
         trace::TraceRecorder::Span SolveSpan(CellOpts.Trace, "solve",
                                              "phase");
-        // Engine choice (worklist or summary) rides in on CellOpts.
         return solveProgram(Prog, *Pol, CellOpts);
       }();
       {

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-fact derivation provenance: when a run carries a \c Recorder, both
-/// fixpoint engines append one 16-byte \c Step per derived fact naming the
+/// Per-fact derivation provenance: when a run carries a \c Recorder, the
+/// solver appends one 16-byte \c Step per derived fact naming the
 /// Figure-2 rule that fired and the (at most two) premise facts it
 /// consumed.  Facts are interned into a compact arena of dense ids, so a
 /// derivation is a DAG over fact ids and "why does v point to h?" is a
@@ -19,11 +19,9 @@
 /// reported through \c memoryBytes() and count against
 /// \c SolverOptions::MemoryBudgetBytes like any other solver container.
 ///
-/// Both engines record into the same schema; derivations are *valid*
-/// (every step re-checkable against the rule side conditions, see
-/// Validate) under either engine at any thread count, though the concrete
-/// step streams may differ with schedule.  docs/OBSERVABILITY.md has the
-/// query grammar and the cost model.
+/// Derivations are *valid*: every step re-checks against the rule side
+/// conditions (see Validate).  docs/OBSERVABILITY.md has the query grammar
+/// and the cost model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,9 +146,9 @@ struct Step {
 static_assert(sizeof(Step) == 16, "derivation steps must stay compact");
 
 /// Append-only derivation arena shared by one solver run.  Thread-safe:
-/// the summary engine's partitions record concurrently under one internal
-/// mutex (provenance is a debug mode; contention is acceptable), and
-/// \c memoryBytes() reads an atomic so budget polls never take the lock.
+/// records and reads serialize on one internal mutex (provenance is a
+/// debug mode; contention is acceptable), and \c memoryBytes() reads an
+/// atomic so budget polls never take the lock.
 class Recorder {
 public:
   Recorder() = default;

@@ -59,11 +59,15 @@ public:
 
   /// Arms a wall-clock deadline \p Ms milliseconds from now; 0 disarms.
   /// Calling again re-arms relative to now — a token can guard one
-  /// deadline-bounded run after another.
+  /// deadline-bounded run after another.  Values beyond about 31 years
+  /// are clamped there: the clock's tick count would otherwise overflow
+  /// and put the deadline in the past.
   void setDeadlineMs(uint64_t Ms) {
+    constexpr uint64_t MaxMs = 1000000000000; // ~31.7 years.
     HasDeadline = Ms != 0;
     if (HasDeadline)
-      DeadlineTp = Clock::now() + std::chrono::milliseconds(Ms);
+      DeadlineTp = Clock::now() +
+                   std::chrono::milliseconds(Ms < MaxMs ? Ms : MaxMs);
   }
 
   /// True once \c cancel() was called, the armed deadline passed, or the

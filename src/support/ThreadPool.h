@@ -1,276 +1,77 @@
-//===- support/ThreadPool.h - Work-stealing worker pool ---------*- C++ -*-===//
+//===- support/ThreadPool.h - Fork-join index loop --------------*- C++ -*-===//
 //
 // Part of the hybridpt project (PLDI 2013 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size work-stealing thread pool shared by the harnesses and the
-/// summary solver's SCC scheduler (pta/summary/).  Each worker owns a
-/// deque: it pushes and pops its own work LIFO (newly spawned work is
-/// cache-hot and, for the SCC sweep, tends to sit deeper in the call-graph
-/// condensation — an approximate bottom-up priority), and steals FIFO from
-/// a victim's cold end when its own deque runs dry.  Jobs submitted from a
-/// worker thread land on that worker's own deque; external submissions are
-/// spread round-robin.
-///
-/// Idle workers back off in three stages — spin over steal attempts, yield,
-/// then a timed condition-variable sleep — so a pool whose producer is one
-/// long-running job does not burn the remaining cores.  Completion tracking
-/// is a single pending-job counter: \c wait() returns only when every
-/// submitted job, including jobs submitted *by* running jobs, has finished,
-/// which is what makes the pool usable as a termination detector for the
-/// summary solver's message-passing sweep.
-///
-/// The pool also keeps aggregate scheduler statistics (executed, stolen,
-/// idle backoffs, per-worker busy time) for the utilization counters in
-/// BENCH_summary.json; see docs/PERF.md.
+/// \c parallelFor over the independent cells of an analysis-variant
+/// matrix, plus the shared reading of a user-facing \c --threads value.
+/// Workers claim indices from one atomic counter, so uneven cells balance
+/// without per-worker queues.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HYBRIDPT_SUPPORT_THREADPOOL_H
 #define HYBRIDPT_SUPPORT_THREADPOOL_H
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <functional>
+#include <cstddef>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace pt {
 
-/// Fixed-size work-stealing pool.  Destruction waits for all submitted
-/// work to finish.
-class ThreadPool {
-public:
-  /// Aggregate scheduler statistics since construction.
-  struct Stats {
-    uint64_t Submitted = 0;    ///< Jobs submitted.
-    uint64_t Executed = 0;     ///< Jobs completed.
-    uint64_t Stolen = 0;       ///< Jobs taken from another worker's deque.
-    uint64_t IdleBackoffs = 0; ///< Timed sleeps after fruitless stealing.
-    double BusyMs = 0.0;       ///< Summed wall time inside jobs, all workers.
-  };
+/// Hardware concurrency with a floor of one.
+inline unsigned hardwareThreads() {
+  unsigned N = std::thread::hardware_concurrency();
+  return N == 0 ? 1 : N;
+}
 
-  /// Spawns \p Threads workers; 0 means one per hardware thread.
-  explicit ThreadPool(unsigned Threads) {
-    if (Threads == 0)
-      Threads = hardwareThreads();
-    Queues.resize(Threads);
-    for (auto &Q : Queues)
-      Q = std::make_unique<WorkerQueue>();
-    Workers.reserve(Threads);
-    for (unsigned I = 0; I < Threads; ++I)
-      Workers.emplace_back([this, I] { workerLoop(I); });
-  }
+/// Reads a user-facing --threads value: 0 means one worker per hardware
+/// thread.  Every tool resolves through this one rule (docs/PERF.md).
+inline unsigned resolveThreads(unsigned Requested) {
+  return Requested == 0 ? hardwareThreads() : Requested;
+}
 
-  ThreadPool(const ThreadPool &) = delete;
-  ThreadPool &operator=(const ThreadPool &) = delete;
-
-  ~ThreadPool() {
-    wait();
-    Stopping.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> Lock(SleepMu);
-      JobReady.notify_all();
-    }
-    for (std::thread &W : Workers)
-      W.join();
-  }
-
-  /// Enqueues \p Job.  From a worker thread of this pool the job lands on
-  /// that worker's own deque (LIFO, cache-hot); externally submitted jobs
-  /// are spread round-robin.
-  void submit(std::function<void()> Job) {
-    Pending.fetch_add(1, std::memory_order_acq_rel);
-    Submitted.fetch_add(1, std::memory_order_relaxed);
-    unsigned Slot;
-    if (CurrentPool == this) {
-      Slot = CurrentWorker;
-    } else {
-      Slot = NextQueue.fetch_add(1, std::memory_order_relaxed) %
-             static_cast<unsigned>(Queues.size());
-    }
-    {
-      std::lock_guard<std::mutex> Lock(Queues[Slot]->Mu);
-      Queues[Slot]->Jobs.push_back(std::move(Job));
-    }
-    if (Sleepers.load(std::memory_order_acquire) != 0) {
-      std::lock_guard<std::mutex> Lock(SleepMu);
-      JobReady.notify_all();
-    }
-  }
-
-  /// Blocks until every submitted job — including jobs submitted by
-  /// running jobs — has completed.
-  void wait() {
-    if (Pending.load(std::memory_order_acquire) == 0)
-      return;
-    std::unique_lock<std::mutex> Lock(DoneMu);
-    Drained.wait(Lock, [this] {
-      return Pending.load(std::memory_order_acquire) == 0;
-    });
-  }
-
-  unsigned threadCount() const {
-    return static_cast<unsigned>(Workers.size());
-  }
-
-  /// The pool's degree of parallelism: how many jobs can run at once.
-  unsigned parallelism() const { return threadCount(); }
-
-  /// Snapshot of the aggregate scheduler statistics.
-  Stats stats() const {
-    Stats S;
-    S.Submitted = Submitted.load(std::memory_order_relaxed);
-    S.Executed = Executed.load(std::memory_order_relaxed);
-    S.Stolen = Stolen.load(std::memory_order_relaxed);
-    S.IdleBackoffs = IdleBackoffsN.load(std::memory_order_relaxed);
-    S.BusyMs =
-        static_cast<double>(BusyUs.load(std::memory_order_relaxed)) / 1000.0;
-    return S;
-  }
-
-  /// Hardware concurrency with a floor of one.
-  static unsigned hardwareThreads() {
-    unsigned N = std::thread::hardware_concurrency();
-    return N == 0 ? 1 : N;
-  }
-
-  /// Canonical interpretation of a user-facing --threads value: 0 means
-  /// one worker per hardware thread, anything else is taken literally.
-  /// Every tool (hybridpt, table1_main, micro_engine) resolves through
-  /// this so the default cannot drift per harness (docs/PERF.md).
-  static unsigned resolveThreads(unsigned Requested) {
-    return Requested == 0 ? hardwareThreads() : Requested;
-  }
-
-private:
-  /// One worker's mutex-guarded deque.  The owner pushes/pops the back
-  /// (LIFO); thieves take from the front (FIFO, the coldest work).
-  struct WorkerQueue {
-    std::mutex Mu;
-    std::deque<std::function<void()>> Jobs;
-  };
-
-  bool popOwn(unsigned Self, std::function<void()> &Job) {
-    WorkerQueue &Q = *Queues[Self];
-    std::lock_guard<std::mutex> Lock(Q.Mu);
-    if (Q.Jobs.empty())
-      return false;
-    Job = std::move(Q.Jobs.back());
-    Q.Jobs.pop_back();
-    return true;
-  }
-
-  bool steal(unsigned Self, std::function<void()> &Job) {
-    unsigned N = static_cast<unsigned>(Queues.size());
-    for (unsigned I = 1; I < N; ++I) {
-      WorkerQueue &Q = *Queues[(Self + I) % N];
-      std::lock_guard<std::mutex> Lock(Q.Mu);
-      if (Q.Jobs.empty())
-        continue;
-      Job = std::move(Q.Jobs.front());
-      Q.Jobs.pop_front();
-      Stolen.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  void runJob(std::function<void()> &Job) {
-    auto Start = std::chrono::steady_clock::now();
-    Job();
-    auto End = std::chrono::steady_clock::now();
-    BusyUs.fetch_add(static_cast<uint64_t>(
-                         std::chrono::duration_cast<std::chrono::microseconds>(
-                             End - Start)
-                             .count()),
-                     std::memory_order_relaxed);
-    Executed.fetch_add(1, std::memory_order_relaxed);
-    if (Pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> Lock(DoneMu);
-      Drained.notify_all();
-    }
-  }
-
-  void workerLoop(unsigned Self) {
-    CurrentPool = this;
-    CurrentWorker = Self;
-    unsigned Fruitless = 0;
-    std::function<void()> Job;
-    while (true) {
-      if (popOwn(Self, Job) || steal(Self, Job)) {
-        Fruitless = 0;
-        runJob(Job);
-        Job = nullptr;
-        continue;
-      }
-      if (Stopping.load(std::memory_order_acquire))
-        return;
-      // Three-stage idle backoff: spin (rescan immediately), yield, then
-      // a timed sleep so an idle worker costs ~nothing while a long job
-      // elsewhere keeps the pool alive.
-      ++Fruitless;
-      if (Fruitless <= 16)
-        continue;
-      if (Fruitless <= 32) {
-        std::this_thread::yield();
-        continue;
-      }
-      IdleBackoffsN.fetch_add(1, std::memory_order_relaxed);
-      std::unique_lock<std::mutex> Lock(SleepMu);
-      Sleepers.fetch_add(1, std::memory_order_acq_rel);
-      JobReady.wait_for(Lock, std::chrono::milliseconds(1));
-      Sleepers.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-
-  /// Identifies the pool/worker of the calling thread so \c submit can
-  /// route to the caller's own deque.
-  static thread_local ThreadPool *CurrentPool;
-  static thread_local unsigned CurrentWorker;
-
-  std::vector<std::unique_ptr<WorkerQueue>> Queues;
-  std::vector<std::thread> Workers;
-  std::atomic<unsigned> NextQueue{0};
-  std::atomic<uint64_t> Pending{0};
-  std::atomic<bool> Stopping{false};
-
-  std::mutex SleepMu;
-  std::condition_variable JobReady;
-  std::atomic<unsigned> Sleepers{0};
-
-  std::mutex DoneMu;
-  std::condition_variable Drained;
-
-  std::atomic<uint64_t> Submitted{0};
-  std::atomic<uint64_t> Executed{0};
-  std::atomic<uint64_t> Stolen{0};
-  std::atomic<uint64_t> IdleBackoffsN{0};
-  std::atomic<uint64_t> BusyUs{0};
-};
-
-inline thread_local ThreadPool *ThreadPool::CurrentPool = nullptr;
-inline thread_local unsigned ThreadPool::CurrentWorker = 0;
-
-/// Runs \p Fn(i) for every i in [0, N) across \p Threads workers and waits
-/// for completion.  With one thread the calls happen inline, in order.
+/// Runs \p Fn(i) once for every i in [0, N) and returns when all calls
+/// have finished.  \p Threads goes through \c resolveThreads; the calling
+/// thread works too, so at most min(Threads, N) - 1 extra threads start.
+/// With one thread the calls happen inline, in order.  If a call throws,
+/// no further index is started and the first exception is rethrown once
+/// every thread has joined.
 template <typename Callback>
 void parallelFor(size_t N, unsigned Threads, Callback &&Fn) {
-  if (Threads == 1 || N <= 1) {
+  const size_t Width = std::min<size_t>(resolveThreads(Threads), N);
+  if (Width <= 1) {
     for (size_t I = 0; I < N; ++I)
       Fn(I);
     return;
   }
-  ThreadPool Pool(Threads);
-  for (size_t I = 0; I < N; ++I)
-    Pool.submit([&Fn, I] { Fn(I); });
-  Pool.wait();
+  std::atomic<size_t> Next{0};
+  std::mutex ErrorMu;
+  std::exception_ptr Error; // Guarded by ErrorMu.
+  auto Work = [&] {
+    try {
+      for (size_t I; (I = Next.fetch_add(1, std::memory_order_relaxed)) < N;)
+        Fn(I);
+    } catch (...) {
+      Next.store(N, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> Lock(ErrorMu);
+      if (!Error)
+        Error = std::current_exception();
+    }
+  };
+  std::vector<std::jthread> Extra;
+  for (size_t T = 1; T < Width; ++T)
+    Extra.emplace_back(Work);
+  Work();
+  Extra.clear(); // Joins every extra thread before Error is read.
+  if (Error)
+    std::rethrow_exception(Error);
 }
 
 } // namespace pt

@@ -281,6 +281,9 @@ TEST(ResultCacheLru, ClearDropsEverythingButReadersKeepTheirs) {
 //===----------------------------------------------------------------------===//
 
 /// Collects replies from the worker pool and lets tests await them.
+/// Declare it before the Server: a worker can still be inside
+/// Cv.notify_all() after the last reply arrived, so the box must be
+/// destroyed after the Server has joined its workers.
 struct ReplyBox {
   std::mutex Mu;
   std::condition_variable Cv;
@@ -344,10 +347,10 @@ ServerOptions smallServer() {
 }
 
 TEST(ServerE2E, HealthReportsEpochAndCounters) {
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(smallServer());
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(S.handleLine(R"({"id": 1, "kind": "health"})", Box.fn()));
   json::Value V = reply(Box.waitFor(1)[0]);
   EXPECT_TRUE(replyOk(V));
@@ -358,10 +361,10 @@ TEST(ServerE2E, HealthReportsEpochAndCounters) {
 }
 
 TEST(ServerE2E, CallGraphMatchesBatchRenderer) {
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(smallServer());
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(
       S.handleLine(R"({"id": 2, "kind": "callgraph"})", Box.fn()));
   json::Value V = reply(Box.waitFor(1)[0]);
@@ -378,10 +381,10 @@ TEST(ServerE2E, CallGraphMatchesBatchRenderer) {
 }
 
 TEST(ServerE2E, MalformedCorpusThenCleanAnswer) {
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(smallServer());
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   const char *Corpus[] = {
       "garbage",
       "{\"id\": 1, \"kind\": \"health\"",            // truncated JSON
@@ -411,10 +414,10 @@ TEST(ServerE2E, MalformedCorpusThenCleanAnswer) {
 }
 
 TEST(ServerE2E, UnknownPolicyAndVarGetStructuredCodes) {
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(smallServer());
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(S.handleLine(
       R"({"id": 1, "kind": "callgraph", "policy": "999obj"})", Box.fn()));
   EXPECT_TRUE(S.handleLine(
@@ -435,10 +438,10 @@ TEST(ServerE2E, ZeroQueueShedsWithRetryAfter) {
   ServerOptions Opts = smallServer();
   Opts.QueueLimit = 0; // always full: the pure shed path, deterministically
   Opts.RetryAfterMs = 77;
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(std::move(Opts));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(
       S.handleLine(R"({"id": 1, "kind": "callgraph"})", Box.fn()));
   json::Value V = reply(Box.waitFor(1)[0]);
@@ -455,10 +458,10 @@ TEST(ServerE2E, ZeroQueueShedsWithRetryAfter) {
 }
 
 TEST(ServerE2E, DrainStopsAdmissionButAnswersInFlight) {
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(smallServer());
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(
       S.handleLine(R"({"id": 1, "kind": "callgraph"})", Box.fn()));
   EXPECT_FALSE(S.handleLine(R"({"id": 2, "kind": "drain"})", Box.fn()))
@@ -495,10 +498,10 @@ TEST(ServerE2E, FaultedRequestErrorsCleanRequestUnpoisoned) {
                                       PlanError))
       << PlanError;
   Opts.Workers = 1; // serialize: ordinal 1 completes before ordinal 2
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(std::move(Opts));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(
       S.handleLine(R"({"id": 1, "kind": "callgraph"})", Box.fn()));
   EXPECT_TRUE(
@@ -552,9 +555,9 @@ TEST(ServerE2E, BudgetFaultLandsLadderRungAndSaysSo) {
   ASSERT_TRUE(RequestFaultPlan::parse(
       "1=oom-at-step=" + std::to_string(Cushion), Opts.Faults, PlanError))
       << PlanError;
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(std::move(Opts));
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(
       S.handleLine(R"({"id": 1, "kind": "callgraph"})", Box.fn()));
   json::Value V = reply(Box.waitFor(1)[0]);
@@ -578,10 +581,10 @@ TEST(ServerE2E, BudgetFaultLandsLadderRungAndSaysSo) {
 }
 
 TEST(ServerE2E, ReloadSwapsEpochAndFailedReloadLeavesItAlone) {
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(smallServer());
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   // Reload the same spec: new epoch id, cache cleared.
   EXPECT_TRUE(S.handleLine(R"({"id": 1, "kind": "reload"})", Box.fn()));
   json::Value V = reply(Box.waitFor(1)[0]);
@@ -615,10 +618,10 @@ TEST(ServerE2E, PerRequestDeadlineCancelsLongSolve) {
   ASSERT_TRUE(RequestFaultPlan::parse("1=slow-rule=vcall", Opts.Faults,
                                       PlanError))
       << PlanError;
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
   Server S(std::move(Opts));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
-  ReplyBox Box;
   EXPECT_TRUE(S.handleLine(
       R"({"id": 1, "kind": "callgraph", "deadline_ms": 1})", Box.fn()));
   json::Value V = reply(Box.waitFor(1)[0]);

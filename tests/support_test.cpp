@@ -7,6 +7,7 @@
 #include "support/Cancel.h"
 #include "support/Hashing.h"
 #include "support/Ids.h"
+#include "support/ParseInt.h"
 #include "support/Rng.h"
 #include "support/StringPool.h"
 #include "support/TableWriter.h"
@@ -301,6 +302,38 @@ TEST(Cancel, ParentTripPropagatesAndSurvivesReset) {
   EXPECT_TRUE(Child.cancelled());
   Child.setParent(nullptr);
   EXPECT_FALSE(Child.cancelled());
+}
+
+// A huge deadline used to overflow the clock and land in the past, so
+// `--deadline-ms 18446744073709551615` cancelled the run at once.
+TEST(Cancel, HugeDeadlineIsFarFuture) {
+  CancelToken T;
+  T.setDeadlineMs(UINT64_MAX);
+  EXPECT_FALSE(T.cancelled());
+  T.setDeadlineMs(uint64_t(1) << 63);
+  EXPECT_FALSE(T.cancelled());
+}
+
+TEST(ParseInt, AcceptsPlainDecimal) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseU64("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseU64("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_TRUE(parseU64("4294967295", V, UINT32_MAX));
+  EXPECT_EQ(V, 4294967295u);
+}
+
+TEST(ParseInt, RejectsEverythingElseAndKeepsOut) {
+  for (const char *Bad : {"", "abc", "-1", "+1", " 1", "1 ", "4x", "0x10",
+                          "1.5", "18446744073709551616"}) {
+    uint64_t V = 42;
+    EXPECT_FALSE(parseU64(Bad, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 42u) << "'" << Bad << "'";
+  }
+  uint64_t V = 42;
+  EXPECT_FALSE(parseU64("4294967296", V, UINT32_MAX));
+  EXPECT_EQ(V, 42u);
 }
 
 } // namespace

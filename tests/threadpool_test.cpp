@@ -1,11 +1,11 @@
-//===- tests/threadpool_test.cpp - work-stealing pool ---------------------===//
+//===- tests/threadpool_test.cpp - parallelFor and --threads ---------------===//
 //
 // Part of the hybridpt project (PLDI 2013 reproduction).
 //
-// The support/ThreadPool work-stealing scheduler: completion tracking
-// through nested submission (what the summary solver's termination
-// detection leans on), stealing, --threads=0 resolution, and the
-// utilization statistics that feed BENCH_summary.json.
+// support/ThreadPool.h: parallelFor runs every index exactly once at any
+// width, never starts more threads than there are indices, stays inline
+// and in order at one thread, and hands a worker's exception back to the
+// caller; --threads=0 resolves to the hardware.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,104 +14,78 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace {
 
 using namespace pt;
 
-TEST(ThreadPool, ExecutesAllJobs) {
-  std::atomic<int> Count{0};
-  {
-    ThreadPool Pool(4);
-    EXPECT_EQ(Pool.threadCount(), 4u);
-    EXPECT_EQ(Pool.parallelism(), 4u);
-    for (int I = 0; I < 1000; ++I)
-      Pool.submit([&Count] { Count.fetch_add(1); });
-    Pool.wait();
-    EXPECT_EQ(Count.load(), 1000);
-    ThreadPool::Stats S = Pool.stats();
-    EXPECT_EQ(S.Submitted, 1000u);
-    EXPECT_EQ(S.Executed, 1000u);
-  }
-}
-
-TEST(ThreadPool, WaitCoversNestedSubmission) {
-  // A job that spawns more jobs: wait() must not return until the whole
-  // tree has run — the property the summary sweep's termination detector
-  // depends on.
-  std::atomic<int> Count{0};
-  ThreadPool Pool(3);
-  std::function<void(int)> Spawn = [&](int Depth) {
-    Count.fetch_add(1);
-    if (Depth < 6) {
-      Pool.submit([&Spawn, Depth] { Spawn(Depth + 1); });
-      Pool.submit([&Spawn, Depth] { Spawn(Depth + 1); });
-    }
-  };
-  Pool.submit([&Spawn] { Spawn(0); });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 127); // Full binary tree of depth 6.
-}
-
-TEST(ThreadPool, StealingMovesWorkOffABusyWorker) {
-  // One long job pins a worker while short jobs pile onto the deques;
-  // with more workers than one, the rest must finish the short jobs even
-  // though round-robin parked some behind the long one.
-  if (ThreadPool::hardwareThreads() < 2)
-    GTEST_SKIP() << "needs at least two hardware threads to be meaningful";
-  std::atomic<bool> Release{false};
-  std::atomic<int> Short{0};
-  ThreadPool Pool(4);
-  Pool.submit([&Release] {
-    while (!Release.load())
-      std::this_thread::yield();
-  });
-  for (int I = 0; I < 200; ++I)
-    Pool.submit([&Short] { Short.fetch_add(1); });
-  // The short jobs cannot all sit behind the blocked worker forever.
-  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (Short.load() < 200 &&
-         std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::yield();
-  EXPECT_EQ(Short.load(), 200);
-  Release.store(true);
-  Pool.wait();
-}
-
 TEST(ThreadPool, ResolveThreadsMapsZeroToHardware) {
-  EXPECT_EQ(ThreadPool::resolveThreads(0), ThreadPool::hardwareThreads());
-  EXPECT_EQ(ThreadPool::resolveThreads(1), 1u);
-  EXPECT_EQ(ThreadPool::resolveThreads(7), 7u);
-  EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
-}
-
-TEST(ThreadPool, ZeroThreadCtorUsesHardware) {
-  ThreadPool Pool(0);
-  EXPECT_EQ(Pool.threadCount(), ThreadPool::hardwareThreads());
-}
-
-TEST(ThreadPool, StatsTrackBusyTime) {
-  ThreadPool Pool(2);
-  for (int I = 0; I < 4; ++I)
-    Pool.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    });
-  Pool.wait();
-  ThreadPool::Stats S = Pool.stats();
-  EXPECT_EQ(S.Executed, 4u);
-  EXPECT_GE(S.BusyMs, 15.0); // 4 x 5ms of work across 2 workers.
+  EXPECT_EQ(resolveThreads(0), hardwareThreads());
+  EXPECT_EQ(resolveThreads(1), 1u);
+  EXPECT_EQ(resolveThreads(7), 7u);
+  EXPECT_GE(hardwareThreads(), 1u);
 }
 
 TEST(ThreadPool, ParallelForCoversRangeAtAnyWidth) {
-  for (unsigned Threads : {1u, 2u, 5u}) {
+  for (unsigned Threads : {0u, 1u, 2u, 5u}) {
     std::vector<std::atomic<int>> Hits(257);
     parallelFor(Hits.size(), Threads,
                 [&Hits](size_t I) { Hits[I].fetch_add(1); });
     for (auto &H : Hits)
       EXPECT_EQ(H.load(), 1);
   }
+}
+
+// A width far above N is capped at N: each index still runs once, and no
+// more than N distinct threads (the caller included) ever run a call.
+TEST(ThreadPool, ParallelForWidthAboveNRunsEachIndexOnce) {
+  std::vector<std::atomic<int>> Hits(3);
+  std::mutex Mu;
+  std::set<std::thread::id> Seen;
+  parallelFor(Hits.size(), 64, [&](size_t I) {
+    Hits[I].fetch_add(1);
+    std::lock_guard<std::mutex> Lock(Mu);
+    Seen.insert(std::this_thread::get_id());
+  });
+  for (auto &H : Hits)
+    EXPECT_EQ(H.load(), 1);
+  EXPECT_LE(Seen.size(), Hits.size());
+}
+
+TEST(ThreadPool, ParallelForOneThreadRunsInlineInOrder) {
+  std::vector<size_t> Order;
+  const std::thread::id Caller = std::this_thread::get_id();
+  parallelFor(10, 1, [&](size_t I) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller);
+    Order.push_back(I);
+  });
+  ASSERT_EQ(Order.size(), 10u);
+  for (size_t I = 0; I < Order.size(); ++I)
+    EXPECT_EQ(Order[I], I);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAWorkerException) {
+  std::atomic<int> Calls{0};
+  EXPECT_THROW(parallelFor(100, 4,
+                           [&](size_t I) {
+                             Calls.fetch_add(1);
+                             if (I == 3)
+                               throw std::runtime_error("cell 3");
+                           }),
+               std::runtime_error);
+  EXPECT_GE(Calls.load(), 1);
+  EXPECT_LE(Calls.load(), 100);
+}
+
+TEST(ThreadPool, ParallelForEmptyRangeCallsNothing) {
+  int Calls = 0;
+  parallelFor(0, 4, [&](size_t) { ++Calls; });
+  EXPECT_EQ(Calls, 0);
 }
 
 } // namespace

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""CLI robustness tests for tools/trace_summary.py and
-tools/check_bench_regression.py.
+"""CLI robustness tests for tools/trace_summary.py,
+tools/check_bench_regression.py, and the numeric flags of hybridpt,
+hybridpt-lint and hybridpt-fuzz.
 
 Every malformed input — missing file, empty file, truncated JSONL, wrong
 top-level JSON shape, non-numeric fields — must produce a clear one-line
 error or warning and a controlled exit code, never a Python traceback.
+A bad numeric flag value must end in the tool's usage exit, never in an
+abort and never in a silent default.
 
 Runs under pytest (each test_* function is collected) and standalone
 (`python3 tests/tools_cli_test.py`).
@@ -81,30 +84,6 @@ def test_trace_summary_truncated_and_malformed_records():
         assert proc.returncode == 0, proc.stderr
         assert "bad JSON" in proc.stderr  # the truncated line was flagged
         assert "solve" in proc.stdout     # the good span still summarized
-    finally:
-        os.unlink(path)
-
-
-def test_trace_summary_zero_span_scc_prints_na():
-    # An SCC sweep whose span durations are all zero or malformed has no
-    # derivable work/span figure: the summary must say "n/a", not divide
-    # by zero or print a fabricated "1.00".
-    lines = [
-        json.dumps({"type": "meta", "version": 1, "telemetry": True}),
-        json.dumps({"type": "span", "name": "scc:0", "cat": "scc",
-                    "dur_ms": 0.0,
-                    "args": {"scc": 0, "depth": 0, "methods": 3}}),
-        json.dumps({"type": "span", "name": "scc:1", "cat": "scc",
-                    "dur_ms": "NaNish",
-                    "args": {"scc": 1, "depth": 1, "methods": 1}}),
-    ]
-    path = write_tmp("\n".join(lines) + "\n", ".jsonl")
-    try:
-        proc = run(TRACE_SUMMARY, path)
-        assert_no_traceback(proc, "zero-span scc trace")
-        assert proc.returncode == 0, proc.stderr
-        assert "summary-mode SCC sweep" in proc.stdout
-        assert "parallelism <= n/a" in proc.stdout, proc.stdout
     finally:
         os.unlink(path)
 
@@ -239,19 +218,27 @@ def test_bench_check_new_policy_column_collapses_to_one_warning():
         os.unlink(cand)
 
 
-# --- hybridpt-lint --compare exit codes ---
+# --- the analysis binaries ---
 #
-# Needs the built binary; ctest passes it via --lint (see
-# tests/CMakeLists.txt).  Standalone runs without it skip these checks.
+# These need the built binaries; ctest passes them via --lint, --hybridpt
+# and --fuzz (see tests/CMakeLists.txt).  Standalone runs without them
+# skip these checks.
 
-LINT_BIN = os.environ.get("HYBRIDPT_LINT_BIN", "")
+BINS = {"lint": os.environ.get("HYBRIDPT_LINT_BIN", ""),
+        "hybridpt": os.environ.get("HYBRIDPT_BIN", ""),
+        "fuzz": os.environ.get("HYBRIDPT_FUZZ_BIN", "")}
 EXAMPLE_PTIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "examples", "programs",
                             "dispatch.ptir")
 
 
+def _bin(name):
+    path = BINS[name]
+    return path if path and os.path.exists(path) else None
+
+
 def _lint():
-    return LINT_BIN if LINT_BIN and os.path.exists(LINT_BIN) else None
+    return _bin("lint")
 
 
 def run_bin(binary, *args):
@@ -289,11 +276,95 @@ def test_lint_compare_known_pair_is_not_conflated():
                                   proc.stdout + proc.stderr)
 
 
+# --- strict numeric flags ---
+#
+# Values the shared parser (support/ParseInt.h) must reject: not a
+# number, a sign, whitespace, trailing bytes, and one past UINT64_MAX.
+# Each is rejected before any solve or thread starts, so a value that
+# would be huge if it were accepted is safe to try here.
+BAD_NUMBERS = ["abc", "", "-1", "+3", " 3", "3x", "18446744073709551616"]
+
+
+def assert_usage_exit(proc, code, context):
+    assert_no_traceback(proc, context)
+    assert proc.returncode == code, (context, proc.returncode,
+                                     proc.stdout[-300:], proc.stderr[-300:])
+    assert "usage:" in proc.stderr, (context, proc.stderr[-300:])
+
+
+def test_hybridpt_rejects_bad_numeric_flags():
+    # Before: `--max-memory-mb abc` and `--budget x` exited 0 with the
+    # garbage read as 0 = unlimited; `-1` wrapped to a huge value.
+    hybridpt = _bin("hybridpt")
+    if not hybridpt:
+        print("skip: hybridpt binary not provided (--hybridpt)")
+        return
+    for flag in ("--budget", "--max-facts", "--max-memory-mb",
+                 "--deadline-ms", "--threads"):
+        for bad in BAD_NUMBERS:
+            proc = run_bin(hybridpt, flag, bad, EXAMPLE_PTIR)
+            assert_usage_exit(proc, 1, "hybridpt %s %r" % (flag, bad))
+    # A megabyte count whose byte budget would wrap is out of range too.
+    proc = run_bin(hybridpt, "--max-memory-mb", "18446744073709551",
+                   EXAMPLE_PTIR)
+    assert_usage_exit(proc, 1, "hybridpt --max-memory-mb wraps")
+    # Control: well-formed values still run.
+    proc = run_bin(hybridpt, "--budget", "0", "--max-facts", "0",
+                   "--max-memory-mb", "0", "--threads", "1", EXAMPLE_PTIR)
+    assert proc.returncode == 0, proc.stderr
+    assert "ABORTED" not in proc.stdout, proc.stdout
+
+
+def test_hybridpt_huge_deadline_does_not_cancel_at_once():
+    # Before: the deadline overflowed the clock into the past, so the run
+    # was cancelled at its first guard poll (luindex is large enough to
+    # reach one; the example programs finish before it).
+    hybridpt = _bin("hybridpt")
+    if not hybridpt:
+        print("skip: hybridpt binary not provided (--hybridpt)")
+        return
+    proc = run_bin(hybridpt, "--deadline-ms", "18446744073709551615",
+                   "luindex")
+    assert proc.returncode == 0, proc.stderr
+    assert "ABORTED" not in proc.stdout, proc.stdout
+
+
+def test_lint_rejects_bad_numeric_flags():
+    # Before: `--max-memory-mb abc` died of an uncaught
+    # std::invalid_argument (exit 134).
+    lint = _lint()
+    if not lint:
+        print("skip: hybridpt-lint binary not provided (--lint)")
+        return
+    for flag in ("--budget", "--max-facts", "--max-memory-mb",
+                 "--deadline-ms"):
+        for bad in BAD_NUMBERS:
+            proc = run_bin(lint, flag, bad, EXAMPLE_PTIR)
+            assert_usage_exit(proc, 1, "hybridpt-lint %s %r" % (flag, bad))
+
+
+def test_fuzz_rejects_bad_numeric_flags():
+    fuzz = _bin("fuzz")
+    if not fuzz:
+        print("skip: hybridpt-fuzz binary not provided (--fuzz)")
+        return
+    for flag in ("--max-programs", "--budget-ms", "--deadline-ms",
+                 "--solver-budget"):
+        for bad in BAD_NUMBERS:
+            proc = run_bin(fuzz, flag, bad, "--max-programs", "1",
+                           "--quiet")
+            assert_usage_exit(proc, 2, "hybridpt-fuzz %s %r" % (flag, bad))
+    # A program count past uint32 used to truncate silently.
+    proc = run_bin(fuzz, "--max-programs", "4294967296")
+    assert_usage_exit(proc, 2, "hybridpt-fuzz --max-programs 2^32")
+
+
 def main():
-    global LINT_BIN
     argv = sys.argv[1:]
-    if "--lint" in argv:
-        LINT_BIN = argv[argv.index("--lint") + 1]
+    for flag, name in (("--lint", "lint"), ("--hybridpt", "hybridpt"),
+                       ("--fuzz", "fuzz")):
+        if flag in argv:
+            BINS[name] = argv[argv.index(flag) + 1]
     tests = [(name, fn) for name, fn in sorted(globals().items())
              if name.startswith("test_") and callable(fn)]
     failed = 0

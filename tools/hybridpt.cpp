@@ -31,11 +31,6 @@
 ///   --deadline-ms MS   whole-process deadline; expiry cancels cleanly
 ///   --matrix           run the full Table 1 policy matrix instead of one
 ///   --threads N        workers for --matrix (0 = hardware concurrency)
-///   --solver NAME      solving engine: worklist (default) or summary —
-///                      the compositional SCC solver (docs/PERF.md)
-///   --solver-threads N workers for the summary solver's bottom-up SCC
-///                      sweep (default 1 = deterministic inline sweep,
-///                      0 = hardware concurrency)
 ///   --taint-spec FILE  instrument the program with the taint spec before
 ///                      solving (docs/CHECKS.md "Taint analysis"); the
 ///                      metric block then reports tainted sinks
@@ -90,12 +85,15 @@
 #include "pta/Trace.h"
 #include "pta/VariantRunner.h"
 #include "support/Cancel.h"
+#include "support/ParseInt.h"
 #include "support/TableWriter.h"
 #include "support/ThreadPool.h"
 #include "taint/Taint.h"
 #include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -121,8 +119,6 @@ struct CliOptions {
   bool Ladder = false;
   std::vector<std::string> LadderRungs;
   unsigned Threads = 1;
-  SolverEngine Engine = SolverEngine::Worklist;
-  unsigned SolverThreads = 1;
   bool Matrix = false;
   bool Metrics = false;
   std::string TaintSpecPath;
@@ -167,7 +163,6 @@ int usage(const char *Argv0) {
          "       [--budget MS] [--max-facts N] [--max-memory-mb N]\n"
          "       [--deadline-ms MS] [--ladder] [--ladder-rungs A,B,...]\n"
          "       [--matrix] [--threads N]\n"
-         "       [--solver worklist|summary] [--solver-threads N]\n"
          "       [--taint-spec FILE]\n"
          "       [--csv] [--trace-out FILE] [--chrome-trace FILE]\n"
          "       [--progress] [--explain-abort] [--heartbeat-steps N]\n"
@@ -236,8 +231,6 @@ SolverOptions solverOptions(const CliOptions &Cli, trace::TraceRecorder *Rec,
   Opts.Trace = Rec;
   Opts.HeartbeatSteps = Cli.HeartbeatSteps;
   Opts.HeartbeatMs = Cli.HeartbeatMs;
-  Opts.Engine = Cli.Engine;
-  Opts.SummaryThreads = Cli.SolverThreads;
   Opts.Prov = Cli.Prov;
   return Opts;
 }
@@ -531,6 +524,7 @@ int main(int argc, char **argv) {
   }
   for (int I = FirstArg; I < argc; ++I) {
     std::string_view Arg = argv[I];
+    bool NumOk = true; // Cleared by a numeric flag whose value is bad.
     auto Value = [&]() -> const char * {
       if (I + 1 >= argc) {
         std::cerr << Arg << " needs a value\n";
@@ -561,33 +555,26 @@ int main(int argc, char **argv) {
     else if (Arg == "--dot-pointsto")
       Opts.PointsToDotFocus = Value();
     else if (Arg == "--budget")
-      Opts.BudgetMs = std::strtoull(Value(), nullptr, 10);
+      NumOk = parseU64(Value(), Opts.BudgetMs);
     else if (Arg == "--max-facts")
-      Opts.MaxFacts = std::strtoull(Value(), nullptr, 10);
+      NumOk = parseU64(Value(), Opts.MaxFacts);
     else if (Arg == "--max-memory-mb")
-      Opts.MaxMemoryMb = std::strtoull(Value(), nullptr, 10);
+      // Capped so the byte budget (MB * 10^6) cannot wrap.
+      NumOk = parseU64(Value(), Opts.MaxMemoryMb, UINT64_MAX / 1000000);
     else if (Arg == "--deadline-ms")
-      Opts.DeadlineMs = std::strtoull(Value(), nullptr, 10);
+      NumOk = parseU64(Value(), Opts.DeadlineMs);
     else if (Arg == "--ladder")
       Opts.Ladder = true;
     else if (Arg == "--ladder-rungs") {
       Opts.Ladder = true;
       Opts.LadderRungs = splitCommaList(Value());
-    } else if (Arg == "--threads")
+    } else if (Arg == "--threads") {
       // 0 = one worker per hardware thread, resolved through the one
       // shared rule so every tool agrees (docs/PERF.md).
-      Opts.Threads = ThreadPool::resolveThreads(
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10)));
-    else if (Arg == "--solver") {
-      if (!parseSolverEngine(Value(), Opts.Engine)) {
-        std::cerr << "unknown solver '" << argv[I]
-                  << "' (worklist or summary)\n";
-        return 1;
-      }
-    } else if (Arg == "--solver-threads")
-      Opts.SolverThreads =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
-    else if (Arg == "--taint-spec")
+      uint64_t N = 0;
+      NumOk = parseU64(Value(), N, UINT_MAX);
+      Opts.Threads = resolveThreads(static_cast<unsigned>(N));
+    } else if (Arg == "--taint-spec")
       Opts.TaintSpecPath = Value();
     else if (Arg == "--matrix")
       Opts.Matrix = true;
@@ -610,9 +597,9 @@ int main(int argc, char **argv) {
     else if (Arg == "--explain-abort")
       Opts.ExplainAbort = true;
     else if (Arg == "--heartbeat-steps")
-      Opts.HeartbeatSteps = std::strtoull(Value(), nullptr, 10);
+      NumOk = parseU64(Value(), Opts.HeartbeatSteps);
     else if (Arg == "--heartbeat-ms")
-      Opts.HeartbeatMs = std::strtoull(Value(), nullptr, 10);
+      NumOk = parseU64(Value(), Opts.HeartbeatMs);
     else if (Arg == "--provenance")
       Opts.Provenance = true;
     else if (Arg == "--why")
@@ -625,9 +612,11 @@ int main(int argc, char **argv) {
                   << "' (text, json, dot)\n";
         return 1;
       }
-    } else if (Arg == "--blame")
-      Opts.BlameTopK = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--validate")
+    } else if (Arg == "--blame") {
+      uint64_t K = 0;
+      NumOk = parseU64(Value(), K, SIZE_MAX);
+      Opts.BlameTopK = static_cast<size_t>(K);
+    } else if (Arg == "--validate")
       Opts.ValidateWhy = true;
     else if (Arg == "--profile-out")
       Opts.ProfileOut = Value();
@@ -637,6 +626,11 @@ int main(int argc, char **argv) {
       Opts.Input = Arg;
     else
       return usage(argv[0]);
+    if (!NumOk) {
+      std::cerr << "bad value '" << argv[I] << "' for " << Arg
+                << " (expected an unsigned decimal integer)\n";
+      return usage(argv[0]);
+    }
   }
   if (Opts.Input.empty())
     return usage(argv[0]);

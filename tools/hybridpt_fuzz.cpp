@@ -27,21 +27,15 @@
 ///                        (default 25; 0 = never)
 ///   --max-failures N     stop after N failing programs (default 5)
 ///   --solver-budget MS   per-solver-run budget (default 0 = unlimited)
-///   --compare-summary    re-solve every policy with the compositional
-///                        summary engine and require bit-identical exports
-///                        against the worklist run (fourth oracle axis;
-///                        roughly doubles solver cost per program)
 ///   --check-provenance   record derivation provenance during every solver
 ///                        run and replay sampled steps through the
-///                        rule-checking validator (fifth oracle axis; with
-///                        --compare-summary the summary engine's
-///                        derivations are validated too)
+///                        rule-checking validator (fourth oracle axis)
 ///   --check-taint        derive a synthetic taint spec per program, run
 ///                        the interpreter with shadow taint tags, and
 ///                        require every dynamically tainted sink to be
 ///                        statically reported by the tainted-sink client
 ///                        under every policy, monotonically across the
-///                        precision order (sixth oracle axis)
+///                        precision order (fifth oracle axis)
 ///   --deadline-ms MS     whole-campaign deadline; expiry cancels cleanly
 ///   --quiet              suppress progress output
 ///
@@ -56,8 +50,9 @@
 #include "context/PolicyRegistry.h"
 #include "fuzz/Driver.h"
 #include "support/Cancel.h"
+#include "support/ParseInt.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -72,18 +67,9 @@ int usage(const char *Argv0) {
                "       [--minimize | --no-minimize] [--regress-dir DIR]\n"
                "       [--policy NAME]... [--full-diff-every N]\n"
                "       [--max-failures N] [--solver-budget MS]\n"
-               "       [--compare-summary] [--check-provenance]\n"
-               "       [--check-taint] [--deadline-ms MS] [--quiet]\n";
+               "       [--check-provenance] [--check-taint]\n"
+               "       [--deadline-ms MS] [--quiet]\n";
   return 2;
-}
-
-bool parseU64(const char *Text, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text, &End, 10);
-  if (End == Text || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 } // namespace
@@ -106,7 +92,7 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
     } else if (std::strcmp(Arg, "--max-programs") == 0) {
       const char *V = Next();
-      if (!V || !parseU64(V, N))
+      if (!V || !parseU64(V, N, UINT32_MAX))
         return usage(argv[0]);
       Opts.MaxPrograms = static_cast<uint32_t>(N);
     } else if (std::strcmp(Arg, "--budget-ms") == 0) {
@@ -129,20 +115,18 @@ int main(int argc, char **argv) {
       Opts.Policies.push_back(V);
     } else if (std::strcmp(Arg, "--full-diff-every") == 0) {
       const char *V = Next();
-      if (!V || !parseU64(V, N))
+      if (!V || !parseU64(V, N, UINT32_MAX))
         return usage(argv[0]);
       Opts.FullDiffEvery = static_cast<uint32_t>(N);
     } else if (std::strcmp(Arg, "--max-failures") == 0) {
       const char *V = Next();
-      if (!V || !parseU64(V, N))
+      if (!V || !parseU64(V, N, UINT32_MAX))
         return usage(argv[0]);
       Opts.MaxFailures = static_cast<uint32_t>(N);
     } else if (std::strcmp(Arg, "--solver-budget") == 0) {
       const char *V = Next();
       if (!V || !parseU64(V, Opts.SolverTimeBudgetMs))
         return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--compare-summary") == 0) {
-      Opts.CompareSummary = true;
     } else if (std::strcmp(Arg, "--check-provenance") == 0) {
       Opts.CheckProvenance = true;
     } else if (std::strcmp(Arg, "--check-taint") == 0) {

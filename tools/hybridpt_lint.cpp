@@ -56,6 +56,7 @@
 #include "ir/Program.h"
 #include "irtext/TextFormat.h"
 #include "support/Cancel.h"
+#include "support/ParseInt.h"
 #include "taint/Taint.h"
 #include "workloads/Profiles.h"
 
@@ -161,21 +162,19 @@ int main(int argc, char **argv) {
       if (!Next(Opts.ComparePair))
         return usage(argv[0]);
     } else if (!std::strcmp(Arg, "--budget")) {
-      if (!Next(Val))
+      if (!Next(Val) || !parseU64(Val, Opts.BudgetMs))
         return usage(argv[0]);
-      Opts.BudgetMs = std::stoull(Val);
     } else if (!std::strcmp(Arg, "--max-facts")) {
-      if (!Next(Val))
+      if (!Next(Val) || !parseU64(Val, Opts.MaxFacts))
         return usage(argv[0]);
-      Opts.MaxFacts = std::stoull(Val);
     } else if (!std::strcmp(Arg, "--max-memory-mb")) {
-      if (!Next(Val))
+      // Capped so the byte budget (MB * 10^6) cannot wrap.
+      if (!Next(Val) ||
+          !parseU64(Val, Opts.MaxMemoryMb, UINT64_MAX / 1000000))
         return usage(argv[0]);
-      Opts.MaxMemoryMb = std::stoull(Val);
     } else if (!std::strcmp(Arg, "--deadline-ms")) {
-      if (!Next(Val))
+      if (!Next(Val) || !parseU64(Val, Opts.DeadlineMs))
         return usage(argv[0]);
-      Opts.DeadlineMs = std::stoull(Val);
     } else if (!std::strcmp(Arg, "--provenance")) {
       Opts.Provenance = true;
     } else if (!std::strcmp(Arg, "--why")) {
