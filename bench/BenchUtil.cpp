@@ -8,25 +8,37 @@
 
 #include "ir/Program.h"
 #include "pta/VariantRunner.h"
+#include "support/ParseInt.h"
 #include "support/TableWriter.h"
 
+#include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 using namespace pt;
 
+namespace {
+
+/// Reads numeric environment variable \p Name into \p Out (left alone
+/// when unset); a malformed or out-of-range value ends the harness with
+/// exit 1 before it runs a cell or writes any output.
+void envU64(const char *Name, uint64_t &Out, uint64_t Max) {
+  if (const char *Text = std::getenv(Name))
+    Out = parseU64OrExit("bench", Name, Text, 0, Max, 1);
+}
+
+} // namespace
+
 CellOptions CellOptions::fromEnv() {
   CellOptions Opts;
-  if (const char *Budget = std::getenv("HYBRIDPT_BUDGET_MS"))
-    Opts.BudgetMs = std::strtoull(Budget, nullptr, 10);
-  if (const char *Runs = std::getenv("HYBRIDPT_RUNS")) {
-    Opts.Runs = static_cast<uint32_t>(std::strtoul(Runs, nullptr, 10));
-    if (Opts.Runs == 0)
-      Opts.Runs = 1;
-  }
-  if (const char *Threads = std::getenv("HYBRIDPT_THREADS"))
-    Opts.Threads = static_cast<unsigned>(std::strtoul(Threads, nullptr, 10));
+  envU64("HYBRIDPT_BUDGET_MS", Opts.BudgetMs, UINT64_MAX);
+  uint64_t Runs = Opts.Runs, Threads = Opts.Threads;
+  envU64("HYBRIDPT_RUNS", Runs, UINT32_MAX);
+  envU64("HYBRIDPT_THREADS", Threads, UINT_MAX);
+  Opts.Runs = std::max<uint32_t>(1, static_cast<uint32_t>(Runs));
+  Opts.Threads = static_cast<unsigned>(Threads);
   if (const char *Ladder = std::getenv("HYBRIDPT_LADDER"))
     Opts.UseLadder = *Ladder != '\0' && std::strcmp(Ladder, "0") != 0;
   if (const char *Prof = std::getenv("HYBRIDPT_PROFILE"))

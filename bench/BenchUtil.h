@@ -63,7 +63,8 @@ struct CellOptions {
   /// refuse to compare tainted against untainted runs.
   std::string TaintSpec;
 
-  /// Reads the environment overrides.
+  /// Reads the environment overrides.  A malformed numeric value is
+  /// reported naming the variable, and the process exits 1.
   static CellOptions fromEnv();
 };
 

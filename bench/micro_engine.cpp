@@ -22,6 +22,7 @@
 #include "pta/VariantRunner.h"
 #include "support/FlatMap.h"
 #include "support/ObjectSet.h"
+#include "support/ParseInt.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "workloads/Profiles.h"
@@ -256,11 +257,12 @@ int main(int argc, char **argv) {
   std::string TraceOut;
   Args.push_back(argv[0]);
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc)
+    if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
       // 0 = hardware concurrency, same rule as every other harness.
-      ThreadCounts.push_back(pt::resolveThreads(
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10))));
-    else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc)
+      uint64_t N = pt::parseU64OrExit("micro_engine", "--threads", argv[++I],
+                                      0, 1024, 2);
+      ThreadCounts.push_back(pt::resolveThreads(static_cast<unsigned>(N)));
+    } else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc)
       TraceOut = argv[++I];
     else
       Args.push_back(argv[I]);

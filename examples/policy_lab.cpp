@@ -71,10 +71,8 @@ void runSharedSinkQuery(const Program &P, const AnalysisResult &R) {
   dl::Relation &Fpt = E.relation("fpt", 3);       // (baseHeap, fld, heap)
   dl::Relation &Shared = E.relation("shared", 2); // (fld, heap)
 
-  for (const auto &Entry : R.FieldFacts)
-    for (uint32_t Obj : Entry.Objs)
-      Fpt.insert({R.objHeap(Entry.BaseObj).index(), Entry.Fld.index(),
-                  R.objHeap(Obj).index()});
+  for (const auto &[Base, Fld, Heap] : R.Ci.FieldPointsTo)
+    Fpt.insert({Base, Fld, Heap});
 
   // shared(f, h) <- fpt(b1, f, h), fpt(b2, f, h), b1 != b2.
   // Inequality is not primitive Datalog, so enumerate in plain C++

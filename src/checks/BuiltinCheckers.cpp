@@ -84,10 +84,10 @@ public:
 
   void run(const AnalysisResult &R, std::vector<Diagnostic> &Out) const override {
     const Program &P = R.program();
-    auto Pts = R.pointsToByVar();
-    auto Empty = [&](VarId V) { return Pts[V.index()].empty(); };
+    auto Empty = [&](VarId V) { return R.Ci.pointsTo(V.index()).empty(); };
 
-    for (MethodId M : R.reachableMethods()) {
+    for (uint32_t MIdx : R.Ci.ReachableMethods) {
+      MethodId M(MIdx);
       const MethodInfo &MI = P.method(M);
       std::string Where = " in " + P.qualifiedName(M);
       for (size_t I = 0; I != MI.Loads.size(); ++I) {
@@ -152,11 +152,8 @@ public:
 
   void run(const AnalysisResult &R, std::vector<Diagnostic> &Out) const override {
     const Program &P = R.program();
-    std::vector<bool> Reached(P.numMethods(), false);
-    for (MethodId M : R.reachableMethods())
-      Reached[M.index()] = true;
-    for (size_t M = 0; M != P.numMethods(); ++M) {
-      if (Reached[M])
+    for (uint32_t M = 0; M != P.numMethods(); ++M) {
+      if (R.Ci.reachable(M))
         continue;
       MethodId Id = MethodId::fromIndex(M);
       Diagnostic D = blank();

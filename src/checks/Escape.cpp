@@ -28,17 +28,17 @@ pt::checks::computeEscapes(const AnalysisResult &Result) {
   };
 
   // Roots: static-field reachability.
-  for (const auto &[Fld, H] : Result.ciStaticEdges())
+  const CiProjection &Ci = Result.Ci;
+  for (const auto &[Fld, H] : Ci.StaticFieldPointsTo)
     Mark(H, "stored in static field " +
                 Prog.text(Prog.field(FieldId::fromIndex(Fld)).Name));
 
   // Roots: returned from the allocating method.
-  auto PtsByVar = Result.pointsToByVar();
   for (size_t M = 0; M != Prog.numMethods(); ++M) {
     VarId Ret = Prog.method(MethodId::fromIndex(M)).Return;
     if (!Ret.isValid())
       continue;
-    for (uint32_t H : PtsByVar[Ret.index()])
+    for (uint32_t H : Ci.pointsTo(Ret.index()))
       if (Prog.heap(HeapId::fromIndex(H)).InMethod.index() == M)
         Mark(H, "returned from " +
                     Prog.qualifiedName(MethodId::fromIndex(M)));
@@ -47,11 +47,10 @@ pt::checks::computeEscapes(const AnalysisResult &Result) {
   // Fixpoint over field edges: a store into an escaping base, or into a
   // base some other method allocated, leaks the stored object.  Edges only
   // ever flip Escapes bits on, so re-sweeping until quiescence terminates.
-  auto Edges = Result.ciFieldEdges();
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (const auto &[Base, Fld, H] : Edges) {
+    for (const auto &[Base, Fld, H] : Ci.FieldPointsTo) {
       if (Escapes[H])
         continue;
       bool CrossMethod = Prog.heap(HeapId::fromIndex(Base)).InMethod !=

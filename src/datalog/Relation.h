@@ -30,6 +30,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -170,8 +171,10 @@ private:
 
   /// Lazily built column indices over settled rows, updated on promote.
   /// Masks fit in 32 bits (arity <= 32); the handful of live masks makes
-  /// a tiny FlatMap-keyed registry overkill, so a small vector of pairs.
-  mutable std::vector<std::pair<uint32_t, ColumnIndex>> Indices;
+  /// a tiny FlatMap-keyed registry overkill, so a small list of pairs.  A
+  /// deque, because a self-join's inner scan may build a new index while
+  /// the outer scan still holds a reference into an existing one.
+  mutable std::deque<std::pair<uint32_t, ColumnIndex>> Indices;
 };
 
 } // namespace pt::dl

@@ -34,37 +34,33 @@ pt::fuzz::precisionOrderPairs() {
 
 namespace {
 
+/// Copies a sorted std::set into a projection relation.
+template <typename T, typename SetT>
+void assign(std::vector<T> &Out, const SetT &In) {
+  Out.assign(In.begin(), In.end());
+}
+
 CiProjection projectConcrete(const ConcreteObservations &Obs) {
   CiProjection P;
-  P.VarPointsTo = Obs.VarPointsTo;
-  P.CallEdges = Obs.CallEdges;
-  P.ReachableMethods = Obs.ReachableMethods;
-  P.StaticFieldPointsTo = Obs.StaticFieldPointsTo;
-  P.FieldPointsTo = Obs.FieldPointsTo;
-  P.MayFailCasts = Obs.FailedCasts;
+  assign(P.VarPointsTo, Obs.VarPointsTo);
+  assign(P.CallEdges, Obs.CallEdges);
+  assign(P.ReachableMethods, Obs.ReachableMethods);
+  assign(P.StaticFieldPointsTo, Obs.StaticFieldPointsTo);
+  assign(P.FieldPointsTo, Obs.FieldPointsTo);
+  assign(P.MayFailCasts, Obs.FailedCasts);
   return P;
 }
 
 CiProjection projectReference(const ReferenceAnalysis &Ref,
                               const Program &Prog) {
   CiProjection P;
-  P.VarPointsTo = Ref.ciVarPointsTo();
-  P.CallEdges = Ref.ciCallEdges();
-  P.ReachableMethods = Ref.ciReachable();
-  P.StaticFieldPointsTo = Ref.ciStaticFieldPointsTo();
-  P.FieldPointsTo = Ref.ciFieldPointsTo();
+  assign(P.VarPointsTo, Ref.ciVarPointsTo());
+  assign(P.CallEdges, Ref.ciCallEdges());
+  assign(P.ReachableMethods, Ref.ciReachable());
+  assign(P.StaticFieldPointsTo, Ref.ciStaticFieldPointsTo());
+  assign(P.FieldPointsTo, Ref.ciFieldPointsTo());
   // The may-fail-casts client, recomputed over the reference's var facts.
-  for (uint32_t Site = 0; Site < Prog.numCastSites(); ++Site) {
-    const CastSite &CS = Prog.castSite(Site);
-    for (const auto &[Var, Heap] : P.VarPointsTo) {
-      if (Var != CS.From.index())
-        continue;
-      if (!Prog.isSubtype(Prog.heap(HeapId(Heap)).Type, CS.Target)) {
-        P.MayFailCasts.insert(Site);
-        break;
-      }
-    }
-  }
+  P.deriveMayFailCasts(Prog);
   return P;
 }
 

@@ -30,47 +30,20 @@ const char *pt::abortReasonName(AbortReason Reason) {
 
 std::vector<HeapId> AnalysisResult::pointsTo(VarId V) const {
   std::vector<HeapId> Out;
-  for (const VarFactsEntry &E : VarFacts) {
-    if (E.Var != V)
-      continue;
-    for (uint32_t Obj : E.Objs)
-      Out.push_back(objHeap(Obj));
-  }
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  for (uint32_t H : Ci.pointsTo(V.index()))
+    Out.push_back(HeapId(H));
   return Out;
 }
 
 std::vector<MethodId> AnalysisResult::callTargets(InvokeId I) const {
   std::vector<MethodId> Out;
-  for (const CallGraphEdge &E : CallEdges)
-    if (E.Invo == I)
-      Out.push_back(E.Callee);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  for (uint32_t M : Ci.callees(I.index()))
+    Out.push_back(MethodId(M));
   return Out;
 }
 
 std::vector<MethodId> AnalysisResult::reachableMethods() const {
-  std::vector<MethodId> Out;
-  Out.reserve(Reachable.size());
-  for (const auto &[M, Ctx] : Reachable)
-    Out.push_back(M);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
-bool AnalysisResult::mayFailCast(uint32_t Site) const {
-  const CastSite &CS = Prog->castSite(Site);
-  for (const VarFactsEntry &E : VarFacts) {
-    if (E.Var != CS.From)
-      continue;
-    for (uint32_t Obj : E.Objs)
-      if (!Prog->isSubtype(Prog->heap(objHeap(Obj)).Type, CS.Target))
-        return true;
-  }
-  return false;
+  return {Ci.ReachableMethods.begin(), Ci.ReachableMethods.end()};
 }
 
 size_t AnalysisResult::numCsVarPointsTo() const {
@@ -112,41 +85,6 @@ std::vector<HeapId> AnalysisResult::uncaughtExceptions() const {
     for (uint32_t Obj : E.Objs)
       Out.push_back(objHeap(Obj));
   }
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
-std::vector<std::vector<uint32_t>> AnalysisResult::pointsToByVar() const {
-  std::vector<std::vector<uint32_t>> Out(Prog->numVars());
-  for (const VarFactsEntry &E : VarFacts)
-    for (uint32_t Obj : E.Objs)
-      Out[E.Var.index()].push_back(objHeap(Obj).index());
-  for (std::vector<uint32_t> &Set : Out) {
-    std::sort(Set.begin(), Set.end());
-    Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
-  }
-  return Out;
-}
-
-std::vector<std::tuple<uint32_t, uint32_t, uint32_t>>
-AnalysisResult::ciFieldEdges() const {
-  std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> Out;
-  for (const FieldFactsEntry &E : FieldFacts)
-    for (uint32_t Obj : E.Objs)
-      Out.emplace_back(objHeap(E.BaseObj).index(), E.Fld.index(),
-                       objHeap(Obj).index());
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
-std::vector<std::pair<uint32_t, uint32_t>>
-AnalysisResult::ciStaticEdges() const {
-  std::vector<std::pair<uint32_t, uint32_t>> Out;
-  for (const StaticFactsEntry &E : StaticFacts)
-    for (uint32_t Obj : E.Objs)
-      Out.emplace_back(E.Fld.index(), objHeap(Obj).index());
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;

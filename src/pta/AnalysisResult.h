@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The output relations of one analysis run (paper Figure 1):
-/// VARPOINTSTO, FLDPOINTSTO, CALLGRAPH, and REACHABLE, together with query
-/// helpers and canonical exports used by the differential tests.
+/// VARPOINTSTO, FLDPOINTSTO, CALLGRAPH, and REACHABLE, their
+/// context-insensitive projection (the one every client reads), query
+/// helpers, and canonical exports used by the differential tests.
 ///
 /// An \c AnalysisResult borrows the \c Program and \c ContextPolicy it was
 /// produced against; both must outlive it.
@@ -18,11 +19,11 @@
 #define HYBRIDPT_PTA_ANALYSISRESULT_H
 
 #include "context/Policy.h"
+#include "pta/Projection.h"
 #include "support/Ids.h"
 #include "support/Telemetry.h"
 
 #include <cstdint>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -109,6 +110,13 @@ public:
   std::vector<HeapId> ObjHeaps;
   std::vector<HCtxId> ObjHCtxs;
 
+  /// The context-insensitive projection of the relations above, filled
+  /// once by the solver's harvest.  Every client (Table 1 metrics, the
+  /// devirtualization and cast reports, the checkers, taint, stats, DOT
+  /// and the daemon's points-to replies) reads it rather than
+  /// re-projecting the context-sensitive facts.
+  CiProjection Ci;
+
   /// True when the run hit its time or fact budget; facts are then a sound
   /// under-approximation of the fixpoint and metrics must not be trusted.
   bool Aborted = false;
@@ -125,16 +133,16 @@ public:
   double SolveMs = 0.0;
 
   /// Peak solver node count (interned (var, ctx) pairs plus field, static
-  /// and throw slots); 0 when produced by a non-node-based engine.
+  /// and throw slots).
   size_t SolverNodes = 0;
 
   /// Bytes held by the solver's persistent containers at harvest time
   /// (points-to sets, intern tables, dedup sets, call graph).  The solver
-  /// only grows, so this is also the peak; 0 for non-node-based engines.
+  /// only grows, so this is also the peak.
   size_t PeakBytes = 0;
 
   /// Rule-fire and infrastructure counters for the run; all-zero when the
-  /// build disables HYBRIDPT_TELEMETRY or the engine does not count.
+  /// build disables HYBRIDPT_TELEMETRY.
   telemetry::SolverCounters Counters;
 
   // --- Queries ---
@@ -142,20 +150,20 @@ public:
   const Program &program() const { return *Prog; }
   const ContextPolicy &policy() const { return *Policy; }
 
-  /// Context-insensitive projection: all heap sites \p V may point to,
-  /// sorted and deduplicated.
+  // Typed lookups into \c Ci.
+
+  /// All heap sites \p V may point to, ascending.
   std::vector<HeapId> pointsTo(VarId V) const;
 
-  /// All methods invocation site \p I may dispatch to, sorted and
-  /// deduplicated over all contexts.
+  /// All methods invocation site \p I may dispatch to, ascending.
   std::vector<MethodId> callTargets(InvokeId I) const;
 
-  /// All methods reachable in at least one context, sorted and dedup'd.
+  /// All methods reachable in at least one context, ascending.
   std::vector<MethodId> reachableMethods() const;
 
   /// True when cast site \p Site may observe an object that is not a
   /// subtype of the cast target (the may-fail-casts client).
-  bool mayFailCast(uint32_t Site) const;
+  bool mayFailCast(uint32_t Site) const { return Ci.mayFailCast(Site); }
 
   /// Total number of context-sensitive var-points-to facts — the paper's
   /// platform-independent complexity metric ("sensitive var-points-to").
@@ -173,20 +181,6 @@ public:
   /// Heap sites of exception objects escaping the program's entry points
   /// uncaught, sorted and deduplicated (the uncaught-exceptions client).
   std::vector<HeapId> uncaughtExceptions() const;
-
-  // --- Context-insensitive bulk accessors (checker clients) ---
-
-  /// CI points-to set of every variable, indexed densely by VarId: heap
-  /// site indices, sorted and deduplicated.  One pass over VarFacts, so
-  /// clients querying many variables should prefer this over pointsTo().
-  std::vector<std::vector<uint32_t>> pointsToByVar() const;
-
-  /// CI field edges (base heap, field, heap), sorted and deduplicated —
-  /// the store-reachability input of the method-escape checker.
-  std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> ciFieldEdges() const;
-
-  /// CI static-field edges (field, heap), sorted and deduplicated.
-  std::vector<std::pair<uint32_t, uint32_t>> ciStaticEdges() const;
 
   // --- Canonical export for differential testing ---
   //

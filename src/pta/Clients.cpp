@@ -10,36 +10,23 @@
 #include "pta/AnalysisResult.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace pt;
 
 std::vector<DevirtSite> pt::devirtualizeCalls(const AnalysisResult &Result) {
   const Program &Prog = Result.program();
-
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> TargetsPerSite;
-  for (const CallGraphEdge &E : Result.CallEdges)
-    if (!Prog.invoke(E.Invo).IsStatic)
-      TargetsPerSite[E.Invo.index()].insert(E.Callee.index());
-
   std::vector<DevirtSite> Rows;
-  for (MethodId M : Result.reachableMethods()) {
-    for (InvokeId Inv : Prog.method(M).Invokes) {
+  for (uint32_t M : Result.Ci.ReachableMethods) {
+    for (InvokeId Inv : Prog.method(MethodId(M)).Invokes) {
       if (Prog.invoke(Inv).IsStatic)
         continue;
       DevirtSite Row;
       Row.Invo = Inv;
-      auto It = TargetsPerSite.find(Inv.index());
-      if (It == TargetsPerSite.end() || It->second.empty()) {
-        Row.Verdict = DevirtVerdict::Dead;
-      } else {
-        for (uint32_t T : It->second)
-          Row.Targets.push_back(MethodId(T));
-        std::sort(Row.Targets.begin(), Row.Targets.end());
-        Row.Verdict = Row.Targets.size() == 1 ? DevirtVerdict::Monomorphic
+      for (uint32_t T : Result.Ci.callees(Inv.index()))
+        Row.Targets.push_back(MethodId(T));
+      Row.Verdict = Row.Targets.empty()       ? DevirtVerdict::Dead
+                    : Row.Targets.size() == 1 ? DevirtVerdict::Monomorphic
                                               : DevirtVerdict::Polymorphic;
-      }
       Rows.push_back(std::move(Row));
     }
   }
@@ -52,30 +39,18 @@ std::vector<DevirtSite> pt::devirtualizeCalls(const AnalysisResult &Result) {
 
 std::vector<CastCheck> pt::checkCasts(const AnalysisResult &Result) {
   const Program &Prog = Result.program();
-
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> HeapsPerVar;
-  for (const auto &E : Result.VarFacts) {
-    auto &Set = HeapsPerVar[E.Var.index()];
-    for (uint32_t Obj : E.Objs)
-      Set.insert(Result.objHeap(Obj).index());
-  }
-
   std::vector<CastCheck> Rows;
-  for (MethodId M : Result.reachableMethods()) {
-    for (const CastInstr &C : Prog.method(M).Casts) {
+  for (uint32_t M : Result.Ci.ReachableMethods) {
+    for (const CastInstr &C : Prog.method(MethodId(M)).Casts) {
       CastCheck Row;
       Row.Site = C.Site;
-      auto It = HeapsPerVar.find(C.From.index());
-      if (It == HeapsPerVar.end() || It->second.empty()) {
-        Row.Verdict = CastVerdict::Unreached;
-      } else {
-        for (uint32_t HeapIdx : It->second)
-          if (!Prog.isSubtype(Prog.heap(HeapId(HeapIdx)).Type, C.Target))
-            Row.Offenders.push_back(HeapId(HeapIdx));
-        std::sort(Row.Offenders.begin(), Row.Offenders.end());
-        Row.Verdict = Row.Offenders.empty() ? CastVerdict::Safe
-                                            : CastVerdict::MayFail;
-      }
+      auto Heaps = Result.Ci.pointsTo(C.From.index());
+      for (uint32_t H : Heaps)
+        if (!Prog.isSubtype(Prog.heap(HeapId(H)).Type, C.Target))
+          Row.Offenders.push_back(HeapId(H));
+      Row.Verdict = Heaps.empty()             ? CastVerdict::Unreached
+                    : Row.Offenders.empty()   ? CastVerdict::Safe
+                                              : CastVerdict::MayFail;
       Rows.push_back(std::move(Row));
     }
   }

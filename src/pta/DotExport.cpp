@@ -8,13 +8,11 @@
 
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
-#include "support/Hashing.h"
 
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 using namespace pt;
 
@@ -41,9 +39,8 @@ void pt::writeCallGraphDot(const AnalysisResult &Result, std::ostream &OS,
   // Context-insensitive edges: caller method -> callee method.
   std::set<std::pair<uint32_t, uint32_t>> Edges;
   std::map<uint32_t, size_t> Degree;
-  for (const CallGraphEdge &E : Result.CallEdges) {
-    uint32_t Caller = Prog.invoke(E.Invo).InMethod.index();
-    uint32_t Callee = E.Callee.index();
+  for (const auto &[Invo, Callee] : Result.Ci.CallEdges) {
+    uint32_t Caller = Prog.invoke(InvokeId(Invo)).InMethod.index();
     if (Edges.insert({Caller, Callee}).second) {
       ++Degree[Caller];
       ++Degree[Callee];
@@ -101,52 +98,29 @@ void pt::writePointsToDot(const AnalysisResult &Result, MethodId Focus,
   OS << "digraph pointsto {\n  rankdir=LR;\n"
         "  node [fontsize=9];\n";
 
-  // Variable -> heap edges (context-insensitive projection).
+  // Variable -> heap edges.
   std::set<uint32_t> Heaps;
-  std::set<std::pair<uint32_t, uint32_t>> VarEdges;
-  for (const auto &E : Result.VarFacts) {
-    if (!FocusVars.count(E.Var.index()))
-      continue;
-    for (uint32_t Obj : E.Objs) {
-      uint32_t H = Result.objHeap(Obj).index();
-      Heaps.insert(H);
-      VarEdges.insert({E.Var.index(), H});
-    }
-  }
-
   for (uint32_t V : FocusVars) {
-    bool Points = false;
-    for (const auto &[Var, H] : VarEdges)
-      if (Var == V) {
-        Points = true;
-        break;
-      }
-    if (!Points)
+    auto Pts = Result.Ci.pointsTo(V);
+    if (Pts.empty())
       continue;
     OS << "  v" << V << " [shape=box, label=\""
        << escape(Prog.text(Prog.var(VarId(V)).Name)) << "\"];\n";
+    Heaps.insert(Pts.begin(), Pts.end());
   }
   for (uint32_t H : Heaps)
     OS << "  h" << H << " [shape=ellipse, label=\""
        << escape(Prog.text(Prog.heap(HeapId(H)).Name)) << "\"];\n";
-  for (const auto &[V, H] : VarEdges)
-    OS << "  v" << V << " -> h" << H << ";\n";
+  for (uint32_t V : FocusVars)
+    for (uint32_t H : Result.Ci.pointsTo(V))
+      OS << "  v" << V << " -> h" << H << ";\n";
 
   // Field edges among the displayed objects.
-  std::set<std::pair<uint64_t, uint32_t>> FieldEdges; // (packed pair, fld)
-  for (const auto &E : Result.FieldFacts) {
-    uint32_t BaseH = Result.objHeap(E.BaseObj).index();
-    if (!Heaps.count(BaseH))
-      continue;
-    for (uint32_t Obj : E.Objs) {
-      uint32_t H = Result.objHeap(Obj).index();
-      if (!Heaps.count(H))
-        continue;
-      if (FieldEdges.insert({packPair(BaseH, H), E.Fld.index()}).second)
+  for (uint32_t BaseH : Heaps)
+    for (const auto &[Base, Fld, H] : Result.Ci.fieldsOf(BaseH))
+      if (Heaps.count(H))
         OS << "  h" << BaseH << " -> h" << H << " [style=dashed, label=\""
-           << escape(Prog.text(Prog.field(E.Fld).Name)) << "\"];\n";
-    }
-  }
+           << escape(Prog.text(Prog.field(FieldId(Fld)).Name)) << "\"];\n";
   OS << "}\n";
 }
 

@@ -9,39 +9,22 @@
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
-#include "support/Hashing.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace pt;
 
 namespace {
 
-std::set<uint64_t> ciVarPairs(const AnalysisResult &R) {
-  std::set<uint64_t> Out;
-  for (const auto &E : R.VarFacts)
-    for (uint32_t Obj : E.Objs)
-      Out.insert(packPair(E.Var.index(), R.objHeap(Obj).index()));
-  return Out;
-}
-
-std::set<uint64_t> ciCallEdges(const AnalysisResult &R) {
-  std::set<uint64_t> Out;
-  for (const CallGraphEdge &E : R.CallEdges)
-    Out.insert(packPair(E.Invo.index(), E.Callee.index()));
-  return Out;
-}
-
-size_t countMissing(const std::set<uint64_t> &Coarse,
-                    const std::set<uint64_t> &Refined) {
+/// Facts of the sorted relation \p Coarse missing from \p Refined.
+template <typename T>
+size_t countMissing(const std::vector<T> &Coarse,
+                    const std::vector<T> &Refined) {
   size_t N = 0;
-  for (uint64_t P : Coarse)
-    N += Refined.find(P) == Refined.end();
+  for (const T &Fact : Coarse)
+    N += !std::binary_search(Refined.begin(), Refined.end(), Fact);
   return N;
 }
 
@@ -104,15 +87,11 @@ AnalysisDelta pt::diffResults(const AnalysisResult &Coarse,
   }
 
   Delta.VarPointsToPairsRemoved =
-      countMissing(ciVarPairs(Coarse), ciVarPairs(Refined));
+      countMissing(Coarse.Ci.VarPointsTo, Refined.Ci.VarPointsTo);
   Delta.CallEdgesRemoved =
-      countMissing(ciCallEdges(Coarse), ciCallEdges(Refined));
-
-  auto CoarseReach = Coarse.reachableMethods();
-  auto RefinedReach = Refined.reachableMethods();
-  for (MethodId M : CoarseReach)
-    Delta.MethodsRemoved +=
-        !std::binary_search(RefinedReach.begin(), RefinedReach.end(), M);
+      countMissing(Coarse.Ci.CallEdges, Refined.Ci.CallEdges);
+  Delta.MethodsRemoved =
+      countMissing(Coarse.Ci.ReachableMethods, Refined.Ci.ReachableMethods);
   return Delta;
 }
 

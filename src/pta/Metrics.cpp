@@ -8,10 +8,8 @@
 
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
-#include "support/Hashing.h"
 #include "support/TableWriter.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace pt;
@@ -63,78 +61,35 @@ PrecisionMetrics pt::computeMetrics(const AnalysisResult &Result) {
   M.NumHContexts = Result.policy().hctxTable().size();
   M.NumObjects = Result.numObjects();
 
-  // Context-insensitive var-points-to projection: per variable, the set of
-  // heap sites.  AvgPointsTo averages over variables with non-empty sets.
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> PerVar;
-  for (const auto &E : Result.VarFacts) {
-    auto &Set = PerVar[E.Var.index()];
-    for (uint32_t Obj : E.Objs)
-      Set.insert(Result.objHeap(Obj).index());
-  }
-  size_t TotalFacts = 0;
-  for (const auto &[Var, Set] : PerVar)
-    TotalFacts += Set.size();
-  M.AvgPointsTo =
-      PerVar.empty() ? 0.0
-                     : static_cast<double>(TotalFacts) /
-                           static_cast<double>(PerVar.size());
+  // Everything below reads the harvested context-insensitive projection.
+  // AvgPointsTo averages over variables with non-empty sets.
+  const CiProjection &Ci = Result.Ci;
+  size_t PointingVars = 0;
+  for (size_t I = 0; I < Ci.VarPointsTo.size(); ++I)
+    PointingVars +=
+        I == 0 || Ci.VarPointsTo[I].first != Ci.VarPointsTo[I - 1].first;
+  M.AvgPointsTo = PointingVars == 0
+                      ? 0.0
+                      : static_cast<double>(Ci.VarPointsTo.size()) /
+                            static_cast<double>(PointingVars);
+  M.CallGraphEdges = Ci.CallEdges.size();
+  M.ReachableMethods = Ci.ReachableMethods.size();
 
-  // Context-insensitive call graph: distinct (invo, callee) pairs, and the
-  // per-site target counts for the devirtualization client.
-  std::unordered_set<uint64_t> CiEdges;
-  for (const CallGraphEdge &E : Result.CallEdges)
-    CiEdges.insert(packPair(E.Invo.index(), E.Callee.index()));
-  M.CallGraphEdges = CiEdges.size();
-
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> TargetsPerSite;
-  for (const CallGraphEdge &E : Result.CallEdges)
-    if (!Prog.invoke(E.Invo).IsStatic)
-      TargetsPerSite[E.Invo.index()].insert(E.Callee.index());
-
-  // Reachable methods (context-insensitive projection).
-  std::unordered_set<uint32_t> ReachableMethods;
-  for (const auto &[Method, Ctx] : Result.Reachable)
-    ReachableMethods.insert(Method.index());
-  M.ReachableMethods = ReachableMethods.size();
-
-  // Poly v-calls: reachable virtual sites whose target set has >= 2
-  // methods.  Sites in reachable methods with zero targets are dead code
-  // to the analysis and counted as reachable sites only.
-  for (uint32_t MethodIdx : ReachableMethods) {
+  for (uint32_t MethodIdx : Ci.ReachableMethods) {
     const MethodInfo &Body = Prog.method(MethodId(MethodIdx));
+    // Poly v-calls: reachable virtual sites whose target set has >= 2
+    // methods.  Sites in reachable methods with zero targets are dead code
+    // to the analysis and counted as reachable sites only.
     for (InvokeId Inv : Body.Invokes) {
       if (Prog.invoke(Inv).IsStatic)
         continue;
       ++M.ReachableVCalls;
-      auto It = TargetsPerSite.find(Inv.index());
-      if (It != TargetsPerSite.end() && It->second.size() >= 2)
-        ++M.PolyVCalls;
+      M.PolyVCalls += Ci.callees(Inv.index()).size() >= 2;
     }
-  }
-
-  // May-fail casts over casts in reachable methods.  A cast may fail when
-  // the *source* variable may point to an object whose type is not a
-  // subtype of the cast target (Doop's PotentiallyFailingCast client).
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> HeapsPerVar;
-  for (const auto &E : Result.VarFacts) {
-    auto &Set = HeapsPerVar[E.Var.index()];
-    for (uint32_t Obj : E.Objs)
-      Set.insert(Result.objHeap(Obj).index());
-  }
-  for (uint32_t MethodIdx : ReachableMethods) {
-    const MethodInfo &Body = Prog.method(MethodId(MethodIdx));
-    for (const CastInstr &C : Body.Casts) {
-      ++M.ReachableCasts;
-      auto It = HeapsPerVar.find(C.From.index());
-      if (It == HeapsPerVar.end())
-        continue;
-      for (uint32_t HeapIdx : It->second) {
-        if (!Prog.isSubtype(Prog.heap(HeapId(HeapIdx)).Type, C.Target)) {
-          ++M.MayFailCasts;
-          break;
-        }
-      }
-    }
+    // May-fail casts over casts in reachable methods.
+    M.ReachableCasts += Body.Casts.size();
+    for (const CastInstr &C : Body.Casts)
+      M.MayFailCasts += Ci.mayFailCast(C.Site);
   }
 
   // Tainted sinks: distinct (sink site, argument, tag) triples where a
@@ -143,14 +98,11 @@ PrecisionMetrics pt::computeMetrics(const AnalysisResult &Result) {
   // without taint instrumentation carry no sinks and report 0.
   for (const Program::TaintSink &S : Prog.taintSinks()) {
     const InvokeInfo &Inv = Prog.invoke(S.Site);
-    if (!ReachableMethods.count(Inv.InMethod.index()) ||
+    if (!Ci.reachable(Inv.InMethod.index()) ||
         S.ArgIdx >= Inv.Actuals.size())
       continue;
-    auto It = HeapsPerVar.find(Inv.Actuals[S.ArgIdx].index());
-    if (It == HeapsPerVar.end())
-      continue;
     std::unordered_set<uint32_t> Tags;
-    for (uint32_t HeapIdx : It->second)
+    for (uint32_t HeapIdx : Ci.pointsTo(Inv.Actuals[S.ArgIdx].index()))
       if (uint32_t Tag = Prog.heap(HeapId(HeapIdx)).TaintTag)
         Tags.insert(Tag);
     M.TaintedSinks += Tags.size();

@@ -9,32 +9,24 @@
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace pt;
 
-CiProjection pt::ciProject(const AnalysisResult &R) {
-  CiProjection P;
-  for (const AnalysisResult::VarFactsEntry &E : R.VarFacts)
-    for (uint32_t Obj : E.Objs)
-      P.VarPointsTo.emplace(E.Var.index(), R.objHeap(Obj).index());
-  for (const CallGraphEdge &E : R.CallEdges)
-    P.CallEdges.emplace(E.Invo.index(), E.Callee.index());
-  for (const auto &[M, Ctx] : R.Reachable)
-    P.ReachableMethods.insert(M.index());
-  for (const AnalysisResult::StaticFactsEntry &E : R.StaticFacts)
-    for (uint32_t Obj : E.Objs)
-      P.StaticFieldPointsTo.emplace(E.Fld.index(), R.objHeap(Obj).index());
-  for (const AnalysisResult::FieldFactsEntry &E : R.FieldFacts)
-    for (uint32_t Obj : E.Objs)
-      P.FieldPointsTo.emplace(R.objHeap(E.BaseObj).index(), E.Fld.index(),
-                              R.objHeap(Obj).index());
-  const Program &Prog = R.program();
-  for (uint32_t Site = 0; Site < Prog.numCastSites(); ++Site)
-    if (R.mayFailCast(Site))
-      P.MayFailCasts.insert(Site);
-  return P;
+void CiProjection::deriveMayFailCasts(const Program &Prog) {
+  MayFailCasts.clear();
+  for (uint32_t Site = 0; Site < Prog.numCastSites(); ++Site) {
+    const CastSite &CS = Prog.castSite(Site);
+    for (uint32_t H : pointsTo(CS.From.index()))
+      if (!Prog.isSubtype(Prog.heap(HeapId(H)).Type, CS.Target)) {
+        MayFailCasts.push_back(Site);
+        break;
+      }
+  }
 }
+
+const CiProjection &pt::ciProject(const AnalysisResult &R) { return R.Ci; }
 
 namespace {
 
@@ -66,16 +58,18 @@ std::string castLabel(const Program &Prog, uint32_t Site) {
   return OS.str();
 }
 
-/// Reports the facts of \p Fine missing from \p Coarse for one relation,
-/// rendering each missing fact through \p Render.
-template <typename SetT, typename RenderFn>
-size_t diffRelation(const char *Relation, const SetT &Fine,
-                    const SetT &Coarse, const std::string &FineLabel,
+/// Reports the facts of \p Fine missing from \p Coarse for one relation
+/// (both sorted), rendering each missing fact through \p Render.
+template <typename T, typename RenderFn>
+size_t diffRelation(const char *Relation, const std::vector<T> &Fine,
+                    const std::vector<T> &Coarse, const std::string &FineLabel,
                     const std::string &CoarseLabel, RenderFn Render,
                     std::vector<CiViolation> &Out, size_t MaxPerRelation) {
   size_t Missing = 0;
-  for (const auto &Fact : Fine) {
-    if (Coarse.count(Fact))
+  auto C = Coarse.begin();
+  for (const T &Fact : Fine) {
+    C = std::lower_bound(C, Coarse.end(), Fact);
+    if (C != Coarse.end() && *C == Fact)
       continue;
     ++Missing;
     if (Missing <= MaxPerRelation) {

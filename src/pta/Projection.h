@@ -7,8 +7,9 @@
 /// \file
 /// The context-insensitive projection of an analysis result: every
 /// client-visible relation with its context columns dropped, in a uniform
-/// set representation that three producers can fill — the specialized
-/// solver, the Datalog reference analysis, and the concrete interpreter.
+/// representation that three producers can fill — the specialized solver
+/// (once, at harvest; every client of an \c AnalysisResult reads that
+/// copy), the Datalog reference analysis, and the concrete interpreter.
 ///
 /// This is the comparison currency of the differential correctness
 /// harness (docs/CORRECTNESS.md): soundness is "concrete ⊆ abstract",
@@ -21,8 +22,9 @@
 #ifndef HYBRIDPT_PTA_PROJECTION_H
 #define HYBRIDPT_PTA_PROJECTION_H
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <ranges>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -33,21 +35,64 @@ namespace pt {
 class AnalysisResult;
 class Program;
 
+/// The second column of the rows of the sorted pair relation \p Rel whose
+/// first column is \p Key.
+inline auto valuesOf(const std::vector<std::pair<uint32_t, uint32_t>> &Rel,
+                     uint32_t Key) {
+  return std::ranges::equal_range(Rel, Key, {},
+                                  &std::pair<uint32_t, uint32_t>::first) |
+         std::views::values;
+}
+
 /// Context-insensitive facts, keyed by raw entity indices so producers do
-/// not need to share id interning.
+/// not need to share id interning.  Every relation is a sorted,
+/// deduplicated vector, which is what the lookups below and
+/// \c diffContainment rely on.
 struct CiProjection {
+  using Pair = std::pair<uint32_t, uint32_t>;
+  using Triple = std::tuple<uint32_t, uint32_t, uint32_t>;
+
   /// (variable, allocation site).
-  std::set<std::pair<uint32_t, uint32_t>> VarPointsTo;
+  std::vector<Pair> VarPointsTo;
   /// (invocation site, callee method).
-  std::set<std::pair<uint32_t, uint32_t>> CallEdges;
+  std::vector<Pair> CallEdges;
   /// Methods reachable in at least one context.
-  std::set<uint32_t> ReachableMethods;
+  std::vector<uint32_t> ReachableMethods;
   /// (static field, allocation site).
-  std::set<std::pair<uint32_t, uint32_t>> StaticFieldPointsTo;
+  std::vector<Pair> StaticFieldPointsTo;
   /// (base allocation site, field, allocation site).
-  std::set<std::tuple<uint32_t, uint32_t, uint32_t>> FieldPointsTo;
+  std::vector<Triple> FieldPointsTo;
   /// Cast sites that may observe an incompatible object.
-  std::set<uint32_t> MayFailCasts;
+  std::vector<uint32_t> MayFailCasts;
+
+  /// Allocation sites variable \p Var may point to, ascending.
+  auto pointsTo(uint32_t Var) const { return valuesOf(VarPointsTo, Var); }
+
+  /// Methods invocation site \p Invo may dispatch to, ascending.
+  auto callees(uint32_t Invo) const { return valuesOf(CallEdges, Invo); }
+
+  /// (base, field, allocation site) rows whose base is \p Base.
+  auto fieldsOf(uint32_t Base) const {
+    return std::ranges::equal_range(FieldPointsTo, Base, {},
+                                    [](const Triple &T) {
+                                      return std::get<0>(T);
+                                    });
+  }
+
+  bool reachable(uint32_t Method) const {
+    return std::binary_search(ReachableMethods.begin(),
+                              ReachableMethods.end(), Method);
+  }
+
+  bool mayFailCast(uint32_t Site) const {
+    return std::binary_search(MayFailCasts.begin(), MayFailCasts.end(),
+                              Site);
+  }
+
+  /// Fills \c MayFailCasts from \c VarPointsTo: a cast site may fail when
+  /// its source variable may point to an object whose type is not a
+  /// subtype of the cast target (Doop's PotentiallyFailingCast).
+  void deriveMayFailCasts(const Program &Prog);
 
   size_t totalFacts() const {
     return VarPointsTo.size() + CallEdges.size() + ReachableMethods.size() +
@@ -55,17 +100,11 @@ struct CiProjection {
            MayFailCasts.size();
   }
 
-  bool operator==(const CiProjection &O) const {
-    return VarPointsTo == O.VarPointsTo && CallEdges == O.CallEdges &&
-           ReachableMethods == O.ReachableMethods &&
-           StaticFieldPointsTo == O.StaticFieldPointsTo &&
-           FieldPointsTo == O.FieldPointsTo &&
-           MayFailCasts == O.MayFailCasts;
-  }
+  bool operator==(const CiProjection &O) const = default;
 };
 
-/// Projects a solver result down to its context-insensitive facts.
-CiProjection ciProject(const AnalysisResult &Result);
+/// The projection the solver harvested into \p Result.
+const CiProjection &ciProject(const AnalysisResult &Result);
 
 /// One fact of \c Fine missing from \c Coarse, rendered human-readable.
 struct CiViolation {

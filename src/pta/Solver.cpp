@@ -17,6 +17,95 @@
 
 using namespace pt;
 
+namespace {
+
+/// Drops the context columns of one points-to relation: groups \p Entries
+/// by \p KeyOf and appends \p Row(Key, Heap) to \p Out once per distinct
+/// heap of each group, keys and heaps ascending.  A per-heap stamp
+/// deduplicates in one pass, so only a group's distinct heaps are sorted;
+/// a first, counting walk sizes \p Out exactly, since the projection lives
+/// as long as the result.
+template <typename EntryT, typename KeyFn, typename RowFn, typename RowT>
+void projectGroups(const AnalysisResult &R, const std::vector<EntryT> &Entries,
+                   KeyFn KeyOf, RowFn Row, std::vector<RowT> &Out) {
+  std::vector<std::pair<uint64_t, uint32_t>> Order; // (key, entry)
+  Order.reserve(Entries.size());
+  for (uint32_t I = 0; I < Entries.size(); ++I)
+    Order.emplace_back(KeyOf(Entries[I]), I);
+  std::sort(Order.begin(), Order.end());
+  std::vector<uint32_t> Stamp(R.program().numHeaps(), UINT32_MAX);
+  std::vector<uint32_t> Heaps;
+  uint32_t Group = 0;
+  auto Walk = [&](auto Visit) {
+    for (size_t I = 0; I < Order.size(); ++Group) {
+      const uint64_t Key = Order[I].first;
+      Heaps.clear();
+      for (; I < Order.size() && Order[I].first == Key; ++I)
+        for (uint32_t Obj : Entries[Order[I].second].Objs) {
+          uint32_t H = R.objHeap(Obj).index();
+          if (Stamp[H] != Group) {
+            Stamp[H] = Group;
+            Heaps.push_back(H);
+          }
+        }
+      Visit(Key);
+    }
+  };
+  size_t Rows = 0;
+  Walk([&](uint64_t) { Rows += Heaps.size(); });
+  Out.reserve(Rows);
+  Walk([&](uint64_t Key) {
+    std::sort(Heaps.begin(), Heaps.end());
+    for (uint32_t H : Heaps)
+      Out.push_back(Row(Key, H));
+  });
+}
+
+/// The context-insensitive projection of a harvested result — the one
+/// place CI facts are built from the context-sensitive relations.
+void projectHarvest(AnalysisResult &R) {
+  const Program &Prog = R.program();
+  CiProjection &Ci = R.Ci;
+  using Pair = CiProjection::Pair;
+
+  projectGroups(
+      R, R.VarFacts, [](const auto &E) { return uint64_t(E.Var.index()); },
+      [](uint64_t V, uint32_t H) { return Pair(uint32_t(V), H); },
+      Ci.VarPointsTo);
+  projectGroups(
+      R, R.FieldFacts,
+      [&](const auto &E) {
+        return packPair(R.objHeap(E.BaseObj).index(), E.Fld.index());
+      },
+      [](uint64_t Slot, uint32_t H) {
+        return CiProjection::Triple(unpackHi(Slot), unpackLo(Slot), H);
+      },
+      Ci.FieldPointsTo);
+  projectGroups(
+      R, R.StaticFacts, [](const auto &E) { return uint64_t(E.Fld.index()); },
+      [](uint64_t F, uint32_t H) { return Pair(uint32_t(F), H); },
+      Ci.StaticFieldPointsTo);
+
+  Ci.CallEdges.reserve(R.CallEdges.size());
+  for (const CallGraphEdge &E : R.CallEdges)
+    Ci.CallEdges.emplace_back(E.Invo.index(), E.Callee.index());
+  std::sort(Ci.CallEdges.begin(), Ci.CallEdges.end());
+  Ci.CallEdges.erase(std::unique(Ci.CallEdges.begin(), Ci.CallEdges.end()),
+                     Ci.CallEdges.end());
+  Ci.CallEdges.shrink_to_fit();
+
+  std::vector<bool> Reached(Prog.numMethods(), false);
+  for (const auto &[M, Ctx] : R.Reachable)
+    Reached[M.index()] = true;
+  for (uint32_t M = 0; M < Reached.size(); ++M)
+    if (Reached[M])
+      Ci.ReachableMethods.push_back(M);
+
+  Ci.deriveMayFailCasts(Prog);
+}
+
+} // namespace
+
 Solver::Solver(const Program &Prog, ContextPolicy &Policy, SolverOptions Opts)
     : Prog(Prog), Policy(Policy), CutPlan(Policy.cutPlan()), Opts(Opts),
       Budget(Opts.TimeBudgetMs) {
@@ -781,8 +870,11 @@ AnalysisResult Solver::harvest() {
   Result.CallEdges = std::move(CallEdges);
   Result.Reachable = std::move(ReachableList);
 
+  // Nothing reads the solver's state after run(), so each node is released
+  // as it is harvested, and the node tables before the projection is
+  // built: the harvest peak stays at the solve's.
   for (size_t I = 0; I < Nodes.size(); ++I) {
-    Node &N = Nodes[I];
+    Node N = std::move(Nodes[I]);
     if (N.Set.empty())
       continue;
     std::vector<uint32_t> Objs;
@@ -802,6 +894,9 @@ AnalysisResult Solver::harvest() {
           {MethodId(D.A), CtxId(D.B), std::move(Objs)});
     }
   }
+  std::vector<Node>().swap(Nodes);
+  std::vector<NodeDesc>().swap(Descs);
+  projectHarvest(Result);
   return Result;
 }
 

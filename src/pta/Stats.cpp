@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace pt;
 
@@ -68,22 +67,24 @@ ContextStats pt::computeStats(const AnalysisResult &Result, size_t TopN) {
                 static_cast<double>(CtxPerMethod.size());
   Stats.TopMethodsByContexts = topN<MethodId>(CtxPerMethod, TopN);
 
-  // Projected per-variable set sizes.
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> PerVar;
+  // CS facts per owning method.
   std::unordered_map<uint32_t, size_t> FactsPerMethod;
-  for (const auto &E : Result.VarFacts) {
-    auto &Set = PerVar[E.Var.index()];
-    for (uint32_t Obj : E.Objs)
-      Set.insert(Result.objHeap(Obj).index());
+  for (const auto &E : Result.VarFacts)
     FactsPerMethod[Prog.var(E.Var).Owner.index()] += E.Objs.size();
-  }
 
+  // Projected per-variable set sizes: the runs of equal variables in the
+  // sorted CI var-points-to relation.
   std::vector<size_t> Sizes;
   std::unordered_map<uint32_t, size_t> VarSizes;
-  for (const auto &[Var, Set] : PerVar) {
-    Sizes.push_back(Set.size());
-    VarSizes[Var] = Set.size();
-    size_t Bucket = log2Bucket(Set.size());
+  const auto &Vpt = Result.Ci.VarPointsTo;
+  for (size_t I = 0, End; I < Vpt.size(); I = End) {
+    End = I + 1;
+    while (End < Vpt.size() && Vpt[End].first == Vpt[I].first)
+      ++End;
+    size_t Size = End - I;
+    Sizes.push_back(Size);
+    VarSizes[Vpt[I].first] = Size;
+    size_t Bucket = log2Bucket(Size);
     if (Stats.PointsToSizeHistogram.size() <= Bucket)
       Stats.PointsToSizeHistogram.resize(Bucket + 1, 0);
     ++Stats.PointsToSizeHistogram[Bucket];

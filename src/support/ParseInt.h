@@ -18,6 +18,8 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdlib>
+#include <iostream>
 #include <string_view>
 
 namespace pt {
@@ -33,6 +35,23 @@ inline bool parseU64(std::string_view Text, uint64_t &Out,
     return false;
   Out = V;
   return true;
+}
+
+/// Parses a command-line or environment value \p Text named \p Name as a
+/// decimal integer in [\p Min, \p Max].  Anything else is reported as
+/// "<Tool>: bad value '<Text>' for <Name> (...)" and the process exits
+/// with \p ExitCode, so callers parse before they start any thread.
+inline uint64_t parseU64OrExit(std::string_view Tool, std::string_view Name,
+                               std::string_view Text, uint64_t Min,
+                               uint64_t Max, int ExitCode) {
+  uint64_t V = 0;
+  if (!parseU64(Text, V, Max) || V < Min) {
+    std::cerr << Tool << ": bad value '" << Text << "' for " << Name
+              << " (expected an unsigned decimal integer in " << Min << ".."
+              << Max << ")\n";
+    std::exit(ExitCode);
+  }
+  return V;
 }
 
 } // namespace pt

@@ -314,21 +314,17 @@ pt::taint::findTaintedSinks(const AnalysisResult &Result) {
   if (Prog.taintSinks().empty())
     return Out;
 
-  std::vector<char> Reach(Prog.numMethods(), 0);
-  for (MethodId M : Result.reachableMethods())
-    Reach[M.index()] = 1;
-  const std::vector<std::vector<uint32_t>> PtByVar = Result.pointsToByVar();
   const size_t NumTags = Prog.taintTags().size();
 
   for (const Program::TaintSink &S : Prog.taintSinks()) {
     const InvokeInfo &I = Prog.invoke(S.Site);
-    if (!Reach[I.InMethod.index()])
+    if (!Result.Ci.reachable(I.InMethod.index()))
       continue;
     VarId Actual = I.Actuals[S.ArgIdx];
     // Heap indices are sorted ascending, so the first hit per tag is the
     // lowest-id witness.
     std::vector<HeapId> Witness(NumTags, HeapId::invalid());
-    for (uint32_t H : PtByVar[Actual.index()]) {
+    for (uint32_t H : Result.Ci.pointsTo(Actual.index())) {
       uint32_t Tag = Prog.heap(HeapId(H)).TaintTag;
       if (Tag != 0 && !Witness[Tag - 1].isValid())
         Witness[Tag - 1] = HeapId(H);

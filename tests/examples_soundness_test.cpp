@@ -11,15 +11,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "context/PolicyRegistry.h"
 #include "fuzz/Oracle.h"
 #include "ir/Program.h"
 #include "irtext/TextFormat.h"
+#include "pta/Solver.h"
+#include "ptaref/ReferenceAnalysis.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 namespace {
 
@@ -105,6 +110,75 @@ TEST(ExamplesSoundness, EveryProgramRoundTrips) {
     EXPECT_EQ(Again.Prog->numInstructions(),
               Parsed.Prog->numInstructions());
   }
+}
+
+
+/// The solver's harvested projection against two independent ones: a
+/// brute-force projection of the raw context-sensitive relations (std::set
+/// per relation, nothing shared with the harvest's grouping) and the
+/// Datalog reference's context-insensitive relations.
+TEST(ExamplesSoundness, HarvestedProjectionMatchesBruteForceAndReference) {
+  auto sorted = [](const auto &Set) {
+    return std::vector<typename std::decay_t<decltype(Set)>::value_type>(
+        Set.begin(), Set.end());
+  };
+  size_t Cells = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(HYBRIDPT_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".ptir")
+      continue;
+    ParseResult Parsed = parseProgram(slurp(Entry.path()));
+    ASSERT_TRUE(Parsed.ok());
+    const Program &P = *Parsed.Prog;
+    for (const std::string &Name : allPolicyNames()) {
+      SCOPED_TRACE(Entry.path().filename().string() + " / " + Name);
+      std::unique_ptr<ContextPolicy> Policy = createPolicy(Name, P);
+      AnalysisResult R = Solver(P, *Policy).run();
+      ASSERT_FALSE(R.Aborted);
+      const CiProjection &Ci = ciProject(R);
+      ++Cells;
+
+      std::set<std::pair<uint32_t, uint32_t>> Vpt, Cg, Spt;
+      std::set<std::tuple<uint32_t, uint32_t, uint32_t>> Fpt;
+      std::set<uint32_t> Reach, Casts;
+      for (const auto &E : R.VarFacts)
+        for (uint32_t Obj : E.Objs)
+          Vpt.emplace(E.Var.index(), R.objHeap(Obj).index());
+      for (const CallGraphEdge &E : R.CallEdges)
+        Cg.emplace(E.Invo.index(), E.Callee.index());
+      for (const auto &[M, Ctx] : R.Reachable)
+        Reach.insert(M.index());
+      for (const auto &E : R.StaticFacts)
+        for (uint32_t Obj : E.Objs)
+          Spt.emplace(E.Fld.index(), R.objHeap(Obj).index());
+      for (const auto &E : R.FieldFacts)
+        for (uint32_t Obj : E.Objs)
+          Fpt.emplace(R.objHeap(E.BaseObj).index(), E.Fld.index(),
+                      R.objHeap(Obj).index());
+      for (uint32_t Site = 0; Site < P.numCastSites(); ++Site)
+        for (const auto &[V, H] : Vpt)
+          if (V == P.castSite(Site).From.index() &&
+              !P.isSubtype(P.heap(HeapId(H)).Type, P.castSite(Site).Target))
+            Casts.insert(Site);
+
+      EXPECT_EQ(Ci.VarPointsTo, sorted(Vpt));
+      EXPECT_EQ(Ci.CallEdges, sorted(Cg));
+      EXPECT_EQ(Ci.ReachableMethods, sorted(Reach));
+      EXPECT_EQ(Ci.StaticFieldPointsTo, sorted(Spt));
+      EXPECT_EQ(Ci.FieldPointsTo, sorted(Fpt));
+      EXPECT_EQ(Ci.MayFailCasts, sorted(Casts));
+
+      std::unique_ptr<ContextPolicy> RefPolicy = createPolicy(Name, P);
+      ReferenceAnalysis Ref(P, *RefPolicy);
+      ASSERT_TRUE(Ref.run());
+      EXPECT_EQ(Ci.VarPointsTo, sorted(Ref.ciVarPointsTo()));
+      EXPECT_EQ(Ci.CallEdges, sorted(Ref.ciCallEdges()));
+      EXPECT_EQ(Ci.ReachableMethods, sorted(Ref.ciReachable()));
+      EXPECT_EQ(Ci.StaticFieldPointsTo, sorted(Ref.ciStaticFieldPointsTo()));
+      EXPECT_EQ(Ci.FieldPointsTo, sorted(Ref.ciFieldPointsTo()));
+    }
+  }
+  EXPECT_GE(Cells, 5 * allPolicyNames().size());
 }
 
 } // namespace

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """CLI robustness tests for tools/trace_summary.py,
-tools/check_bench_regression.py, and the numeric flags of hybridpt,
-hybridpt-lint and hybridpt-fuzz.
+tools/check_bench_regression.py, the numeric flags of hybridpt,
+hybridpt-lint, hybridpt-fuzz, hybridpt-serve and hybridpt-replay, the
+HYBRIDPT_* environment variables of table1_main, and golden reports of
+hybridpt.
 
 Every malformed input — missing file, empty file, truncated JSONL, wrong
 top-level JSON shape, non-numeric fields — must produce a clear one-line
@@ -226,7 +228,10 @@ def test_bench_check_new_policy_column_collapses_to_one_warning():
 
 BINS = {"lint": os.environ.get("HYBRIDPT_LINT_BIN", ""),
         "hybridpt": os.environ.get("HYBRIDPT_BIN", ""),
-        "fuzz": os.environ.get("HYBRIDPT_FUZZ_BIN", "")}
+        "fuzz": os.environ.get("HYBRIDPT_FUZZ_BIN", ""),
+        "table1": os.environ.get("HYBRIDPT_TABLE1_BIN", ""),
+        "serve": os.environ.get("HYBRIDPT_SERVE_BIN", ""),
+        "replay": os.environ.get("HYBRIDPT_REPLAY_BIN", "")}
 EXAMPLE_PTIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "examples", "programs",
                             "dispatch.ptir")
@@ -241,9 +246,12 @@ def _lint():
     return _bin("lint")
 
 
-def run_bin(binary, *args):
-    return subprocess.run([binary] + list(args),
-                          capture_output=True, text=True, timeout=120)
+def run_bin(binary, *args, env=None):
+    # stdin is closed so that a daemon which wrongly starts sees EOF and
+    # exits instead of waiting for requests.
+    return subprocess.run([binary] + list(args), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
 
 
 def test_lint_compare_unknown_policy_has_distinct_exit_code():
@@ -359,10 +367,115 @@ def test_fuzz_rejects_bad_numeric_flags():
     assert_usage_exit(proc, 2, "hybridpt-fuzz --max-programs 2^32")
 
 
+# Thread-count flags get only values that no parser, strict or lax, can
+# read as a large count: a rejection test must never start thousands of
+# threads, even against a binary that fails to reject.
+BAD_COUNTS = ["abc", "", "+3", " 3", "3x", "0"]
+
+
+def assert_rejected(proc, code, flag, context):
+    assert_no_traceback(proc, context)
+    assert proc.returncode == code, (context, proc.returncode,
+                                     proc.stdout[-300:], proc.stderr[-300:])
+    assert flag in proc.stderr, (context, proc.stderr[-300:])
+
+
+def test_serve_rejects_bad_numeric_flags():
+    # Before: `--deadline-ms abc --max-memory-mb -1` started the daemon
+    # and exited 0, the garbage read as 0 and the -1 wrapped.
+    serve = _bin("serve")
+    if not serve:
+        print("skip: hybridpt-serve binary not provided (--serve)")
+        return
+    for flag in ("--deadline-ms", "--max-memory-mb", "--queue", "--cache",
+                 "--budget", "--max-facts", "--retry-after-ms"):
+        for bad in BAD_NUMBERS:
+            proc = run_bin(serve, "--program", EXAMPLE_PTIR, flag, bad)
+            assert_rejected(proc, 2, flag, "hybridpt-serve %s %r" % (flag,
+                                                                   bad))
+    proc = run_bin(serve, "--program", EXAMPLE_PTIR, "--max-memory-mb",
+                   "18446744073709551")
+    assert_rejected(proc, 2, "--max-memory-mb",
+                    "hybridpt-serve --max-memory-mb wraps")
+    for bad in BAD_COUNTS:
+        proc = run_bin(serve, "--program", EXAMPLE_PTIR, "--workers", bad)
+        assert_rejected(proc, 2, "--workers",
+                        "hybridpt-serve --workers %r" % bad)
+
+
+def test_replay_rejects_bad_flags():
+    replay = _bin("replay")
+    if not replay:
+        print("skip: hybridpt-replay binary not provided (--replay)")
+        return
+    # --requests 1 keeps a run that wrongly starts short.
+    base = ["--program", EXAMPLE_PTIR, "--requests", "1"]
+    for bad in ("abc", "", "-0.5", "1.5", "nan", "inf", "0.5x", " 0.5"):
+        proc = run_bin(replay, *base, "--fault-rate", bad)
+        assert_rejected(proc, 2, "--fault-rate",
+                        "hybridpt-replay --fault-rate %r" % bad)
+    for flag in ("--seed", "--queue", "--deadline-ms", "--budget"):
+        for bad in BAD_NUMBERS:
+            proc = run_bin(replay, *base, flag, bad)
+            assert_rejected(proc, 2, flag, "hybridpt-replay %s %r" % (flag,
+                                                                    bad))
+    for flag in ("--workers", "--concurrency"):
+        for bad in BAD_COUNTS:
+            proc = run_bin(replay, *base, flag, bad)
+            assert_rejected(proc, 2, flag, "hybridpt-replay %s %r" % (flag,
+                                                                    bad))
+
+
+def test_table1_rejects_bad_environment():
+    # Before: HYBRIDPT_BUDGET_MS=abc ran with "budget_ms": 0 and exit 0.
+    table1 = _bin("table1")
+    if not table1:
+        print("skip: table1_main binary not provided (--table1)")
+        return
+    out = os.path.join(tempfile.mkdtemp(), "cells.json")
+    cases = [("HYBRIDPT_BUDGET_MS", bad) for bad in BAD_NUMBERS]
+    # No value that a lax parser could read as a huge run count.
+    cases += [("HYBRIDPT_RUNS", bad)
+              for bad in ("abc", "", "+3", "3x", "4294967296")]
+    cases += [("HYBRIDPT_THREADS", bad) for bad in ("abc", "", "+3", "3x")]
+    for var, bad in cases:
+        env = dict(os.environ, HYBRIDPT_BUDGET_MS="0", HYBRIDPT_RUNS="1",
+                   HYBRIDPT_THREADS="1")
+        env[var] = bad
+        proc = run_bin(table1, "--json", out, "luindex", env=env)
+        assert_rejected(proc, 1, var, "table1_main %s=%r" % (var, bad))
+        assert not os.path.exists(out), ("wrote JSON despite", var, bad)
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+
+
+def test_hybridpt_report_goldens():
+    # The stats, devirtualization and cast reports read the analysis
+    # result's context-insensitive projection; their text is pinned.
+    # Regenerate after auditing a diff:
+    #   hybridpt --stats --devirt --casts --csv examples/programs/X.ptir
+    #     > tests/golden/X.cli.txt
+    hybridpt = _bin("hybridpt")
+    if not hybridpt:
+        print("skip: hybridpt binary not provided (--hybridpt)")
+        return
+    for name in ("dispatch", "factory"):
+        ptir = os.path.join(os.path.dirname(EXAMPLE_PTIR), name + ".ptir")
+        proc = run_bin(hybridpt, "--stats", "--devirt", "--casts", "--csv",
+                       ptir)
+        assert proc.returncode == 0, proc.stderr
+        with open(os.path.join(GOLDEN_DIR, name + ".cli.txt")) as f:
+            want = f.read()
+        assert proc.stdout == want, (name, proc.stdout)
+
+
 def main():
     argv = sys.argv[1:]
     for flag, name in (("--lint", "lint"), ("--hybridpt", "hybridpt"),
-                       ("--fuzz", "fuzz")):
+                       ("--fuzz", "fuzz"), ("--table1", "table1"),
+                       ("--serve", "serve"), ("--replay", "replay")):
         if flag in argv:
             BINS[name] = argv[argv.index(flag) + 1]
     tests = [(name, fn) for name, fn in sorted(globals().items())

@@ -36,12 +36,15 @@
 #include "pta/Metrics.h"
 #include "pta/Solver.h"
 #include "support/Json.h"
+#include "support/ParseInt.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,6 +65,10 @@ using namespace pt;
 using namespace pt::serve;
 
 namespace {
+
+/// Upper bound of --concurrency and --workers: a typo must not ask for
+/// billions of threads.
+constexpr uint64_t MaxThreads = 1024;
 
 struct Options {
   std::string Program;
@@ -91,12 +98,12 @@ void printUsage() {
          "  --serve-bin PATH    hybridpt-serve binary (default: next to\n"
          "                      this binary)\n"
          "  --requests N        stream length (default 1000)\n"
-         "  --concurrency N     max outstanding requests (default 4)\n"
+         "  --concurrency N     outstanding requests, 1..1024 (default 4)\n"
          "  --seed N            mix/fault PRNG seed (default 1)\n"
          "  --fault-rate F      fraction of work requests faulted (0..1)\n"
          "  --policy NAME       solve policy (default 2obj+H)\n"
          "  --base-policy NAME  compare baseline (default insens)\n"
-         "  --workers N         daemon workers (default 2)\n"
+         "  --workers N         daemon workers, 1..1024 (default 2)\n"
          "  --queue N           daemon admission bound (default 64)\n"
          "  --deadline-ms MS    daemon default deadline\n"
          "  --budget MS         daemon default solve budget\n"
@@ -494,6 +501,11 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // A numeric flag value in [Min, Max]; anything else exits 2 here,
+    // before the daemon or any client thread starts.
+    auto Num = [&](uint64_t Min, uint64_t Max) {
+      return parseU64OrExit("hybridpt-replay", Arg, Value(), Min, Max, 2);
+    };
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
@@ -503,27 +515,34 @@ int main(int argc, char **argv) {
     else if (Arg == "--serve-bin")
       Opts.ServeBin = Value();
     else if (Arg == "--requests")
-      Opts.Requests = std::strtoull(Value(), nullptr, 10);
+      Opts.Requests = Num(0, UINT64_MAX);
     else if (Arg == "--concurrency")
-      Opts.Concurrency =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
+      Opts.Concurrency = static_cast<unsigned>(Num(1, MaxThreads));
     else if (Arg == "--seed")
-      Opts.Seed = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--fault-rate")
-      Opts.FaultRate = std::strtod(Value(), nullptr);
-    else if (Arg == "--policy")
+      Opts.Seed = Num(0, UINT64_MAX);
+    else if (Arg == "--fault-rate") {
+      const char *Text = Value();
+      const char *End = Text + std::strlen(Text);
+      double F = -1;
+      auto [Ptr, Ec] = std::from_chars(Text, End, F);
+      if (Ec != std::errc() || Ptr != End || !(F >= 0.0 && F <= 1.0)) {
+        std::cerr << "hybridpt-replay: bad value '" << Text
+                  << "' for --fault-rate (expected a number in [0,1])\n";
+        return 2;
+      }
+      Opts.FaultRate = F;
+    } else if (Arg == "--policy")
       Opts.Policy = Value();
     else if (Arg == "--base-policy")
       Opts.BasePolicy = Value();
     else if (Arg == "--workers")
-      Opts.Workers =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
+      Opts.Workers = static_cast<unsigned>(Num(1, MaxThreads));
     else if (Arg == "--queue")
-      Opts.Queue = std::strtoull(Value(), nullptr, 10);
+      Opts.Queue = Num(0, UINT64_MAX);
     else if (Arg == "--deadline-ms")
-      Opts.DeadlineMs = std::strtoull(Value(), nullptr, 10);
+      Opts.DeadlineMs = Num(0, UINT64_MAX);
     else if (Arg == "--budget")
-      Opts.BudgetMs = std::strtoull(Value(), nullptr, 10);
+      Opts.BudgetMs = Num(0, UINT64_MAX);
     else if (Arg == "--verify")
       Opts.Verify = true;
     else if (Arg == "--overload-check")

@@ -22,9 +22,11 @@
 #include "serve/Server.h"
 #include "support/Cancel.h"
 #include "support/FaultPlan.h"
+#include "support/ParseInt.h"
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +45,9 @@ using namespace pt::serve;
 
 namespace {
 
+/// Upper bound of --workers: a typo must not ask for billions of threads.
+constexpr uint64_t MaxWorkers = 1024;
+
 void printUsage() {
   std::cout
       << "usage: hybridpt-serve --program <benchmark|file.ptir> [options]\n"
@@ -52,7 +57,7 @@ void printUsage() {
          "options:\n"
          "  --program SPEC      program to load as epoch 1 (required)\n"
          "  --policy NAME       default context policy (default 2obj+H)\n"
-         "  --workers N         worker threads (default 2)\n"
+         "  --workers N         worker threads, 1..1024 (default 2)\n"
          "  --queue N           admission queue bound (default 64)\n"
          "  --cache N           result cache entries (default 32)\n"
          "  --deadline-ms MS    default per-request deadline (0 = none)\n"
@@ -246,6 +251,11 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // A numeric flag value in [Min, Max]; anything else exits 2 here,
+    // before any worker thread starts.
+    auto Num = [&](uint64_t Min, uint64_t Max) {
+      return parseU64OrExit("hybridpt-serve", Arg, Value(), Min, Max, 2);
+    };
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
@@ -255,22 +265,22 @@ int main(int argc, char **argv) {
     else if (Arg == "--policy")
       Opts.DefaultPolicy = Value();
     else if (Arg == "--workers")
-      Opts.Workers =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
+      Opts.Workers = static_cast<unsigned>(Num(1, MaxWorkers));
     else if (Arg == "--queue")
-      Opts.QueueLimit = std::strtoull(Value(), nullptr, 10);
+      Opts.QueueLimit = Num(0, SIZE_MAX);
     else if (Arg == "--cache")
-      Opts.CacheEntries = std::strtoull(Value(), nullptr, 10);
+      Opts.CacheEntries = Num(0, SIZE_MAX);
     else if (Arg == "--deadline-ms")
-      Opts.DefaultDeadlineMs = std::strtoull(Value(), nullptr, 10);
+      Opts.DefaultDeadlineMs = Num(0, UINT64_MAX);
     else if (Arg == "--budget")
-      Opts.DefaultBudgetMs = std::strtoull(Value(), nullptr, 10);
+      Opts.DefaultBudgetMs = Num(0, UINT64_MAX);
     else if (Arg == "--max-facts")
-      Opts.DefaultMaxFacts = std::strtoull(Value(), nullptr, 10);
+      Opts.DefaultMaxFacts = Num(0, UINT64_MAX);
     else if (Arg == "--max-memory-mb")
-      Opts.DefaultMaxMemoryMb = std::strtoull(Value(), nullptr, 10);
+      // Capped so the byte budget (MB * 10^6) cannot wrap.
+      Opts.DefaultMaxMemoryMb = Num(0, UINT64_MAX / 1000000);
     else if (Arg == "--retry-after-ms")
-      Opts.RetryAfterMs = std::strtoull(Value(), nullptr, 10);
+      Opts.RetryAfterMs = Num(0, UINT64_MAX);
     else if (Arg == "--no-ladder")
       Opts.UseLadder = false;
     else if (Arg == "--fault-plan") {
