@@ -7,7 +7,6 @@
 #include "BenchUtil.h"
 
 #include "ir/Program.h"
-#include "pta/VariantRunner.h"
 #include "support/ParseInt.h"
 #include "support/TableWriter.h"
 
@@ -29,48 +28,26 @@ void envU64(const char *Name, uint64_t &Out, uint64_t Max) {
     Out = parseU64OrExit("bench", Name, Text, 0, Max, 1);
 }
 
+/// True when environment variable \p Name is set, non-empty and not "0".
+bool envFlag(const char *Name) {
+  const char *Text = std::getenv(Name);
+  return Text && *Text != '\0' && std::strcmp(Text, "0") != 0;
+}
+
 } // namespace
 
-CellOptions CellOptions::fromEnv() {
-  CellOptions Opts;
-  envU64("HYBRIDPT_BUDGET_MS", Opts.BudgetMs, UINT64_MAX);
+MatrixOptions pt::matrixOptionsFromEnv() {
+  MatrixOptions Opts;
+  Opts.Solver.TimeBudgetMs = 120000;
+  envU64("HYBRIDPT_BUDGET_MS", Opts.Solver.TimeBudgetMs, UINT64_MAX);
   uint64_t Runs = Opts.Runs, Threads = Opts.Threads;
   envU64("HYBRIDPT_RUNS", Runs, UINT32_MAX);
   envU64("HYBRIDPT_THREADS", Threads, UINT_MAX);
   Opts.Runs = std::max<uint32_t>(1, static_cast<uint32_t>(Runs));
   Opts.Threads = static_cast<unsigned>(Threads);
-  if (const char *Ladder = std::getenv("HYBRIDPT_LADDER"))
-    Opts.UseLadder = *Ladder != '\0' && std::strcmp(Ladder, "0") != 0;
-  if (const char *Prof = std::getenv("HYBRIDPT_PROFILE"))
-    Opts.Profile = *Prof != '\0' && std::strcmp(Prof, "0") != 0;
+  Opts.UseLadder = envFlag("HYBRIDPT_LADDER");
+  Opts.Profile = envFlag("HYBRIDPT_PROFILE");
   return Opts;
-}
-
-static MatrixOptions toMatrixOptions(const CellOptions &Opts,
-                                     unsigned Threads) {
-  MatrixOptions M;
-  M.Solver.TimeBudgetMs = Opts.BudgetMs;
-  M.Solver.Trace = Opts.Trace;
-  M.Threads = Threads;
-  M.Runs = Opts.Runs;
-  M.TraceLabelPrefix = Opts.TraceLabelPrefix;
-  M.UseLadder = Opts.UseLadder;
-  M.Profile = Opts.Profile;
-  M.ProfileTopK = Opts.ProfileTopK;
-  return M;
-}
-
-PrecisionMetrics pt::runCell(const Program &Prog, std::string_view PolicyName,
-                             const CellOptions &Opts) {
-  std::vector<std::string> One = {std::string(PolicyName)};
-  return runVariantMatrix(Prog, One, toMatrixOptions(Opts, 1)).front();
-}
-
-std::vector<PrecisionMetrics>
-pt::runCells(const Program &Prog, const std::vector<std::string> &Policies,
-             const CellOptions &Opts) {
-  return runVariantMatrix(Prog, Policies,
-                          toMatrixOptions(Opts, Opts.Threads));
 }
 
 BenchRecord pt::makeBenchRecord(const std::string &Benchmark,
@@ -102,7 +79,8 @@ BenchRecord pt::makeBenchRecord(const std::string &Benchmark,
 }
 
 bool pt::writeBenchJson(const std::string &Path, const std::string &Harness,
-                        const CellOptions &Opts,
+                        const MatrixOptions &Opts,
+                        const std::string &TaintSpec,
                         const std::vector<BenchRecord> &Records,
                         std::string &Error) {
   std::ofstream OS(Path);
@@ -112,12 +90,12 @@ bool pt::writeBenchJson(const std::string &Path, const std::string &Harness,
   }
   OS << "{\n"
      << "  \"harness\": \"" << Harness << "\",\n"
-     << "  \"budget_ms\": " << Opts.BudgetMs << ",\n"
+     << "  \"budget_ms\": " << Opts.Solver.TimeBudgetMs << ",\n"
      << "  \"runs\": " << Opts.Runs << ",\n"
      << "  \"threads\": " << Opts.Threads << ",\n"
      << "  \"ladder\": " << (Opts.UseLadder ? "true" : "false") << ",\n";
-  if (!Opts.TaintSpec.empty())
-    OS << "  \"taint_spec\": \"" << Opts.TaintSpec << "\",\n";
+  if (!TaintSpec.empty())
+    OS << "  \"taint_spec\": \"" << TaintSpec << "\",\n";
   OS << "  \"cells\": [\n";
   for (size_t I = 0; I < Records.size(); ++I) {
     const BenchRecord &R = Records[I];

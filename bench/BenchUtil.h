@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the table/figure harnesses: run one (benchmark,
-/// policy) cell — or a whole policy matrix concurrently — under a budget,
-/// with optional repetition taking medians as the paper does ("all numbers
-/// shown are medians of three runs"), and emit machine-readable
+/// Helpers shared by the table/figure harnesses: read the matrix options
+/// (budget, repetitions — medians, as the paper's "all numbers shown are
+/// medians of three runs" — threads, ladder) from the environment for
+/// \c runVariantMatrix, and emit machine-readable
 /// BENCH_*.json records so the performance trajectory is tracked across
 /// PRs (tools/check_bench_regression.py diffs two such files).
 ///
@@ -18,67 +18,22 @@
 #define HYBRIDPT_BENCH_BENCHUTIL_H
 
 #include "pta/Metrics.h"
-#include "pta/Solver.h"
+#include "pta/VariantRunner.h"
 
-#include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace pt {
 
-class Program;
-
-namespace trace {
-class TraceRecorder;
-}
-
-/// Configuration for cell runs, overridable via environment variables:
-/// HYBRIDPT_BUDGET_MS (per-cell time budget, 0 = unlimited),
-/// HYBRIDPT_RUNS (repetitions per cell; median time reported),
-/// HYBRIDPT_THREADS (worker threads for matrix runs; 0 = hardware),
-/// HYBRIDPT_LADDER (non-empty = degrade budget-aborted cells through the
-/// fallback ladder instead of reporting a dash).
-struct CellOptions {
-  uint64_t BudgetMs = 120000;
-  uint32_t Runs = 1;
-  unsigned Threads = 1;
-  /// When a cell exhausts its budget, re-run it down the policy fallback
-  /// ladder (pta/Degrade.h) until a rung converges; the record is then
-  /// stamped with \c fallback_from instead of an aborted dash.
-  bool UseLadder = false;
-  /// Observability sink shared by all cells (spans + heartbeats);
-  /// nullptr = no tracing.  Not env-controlled — harnesses wire it from
-  /// their --trace-out/--progress flags.
-  trace::TraceRecorder *Trace = nullptr;
-  /// Cell label prefix, typically "<benchmark>/".
-  std::string TraceLabelPrefix;
-  /// Record derivation provenance per cell and attach the top-K blame
-  /// profile to each record ("profile" in BENCH json; docs/OBSERVABILITY.md).
-  /// Wired from --profile-out; also HYBRIDPT_PROFILE=1.
-  bool Profile = false;
-  size_t ProfileTopK = 10;
-  /// Taint-spec path the harness instrumented its programs with ("" =
-  /// uninstrumented); stamped into the BENCH json so regression diffs can
-  /// refuse to compare tainted against untainted runs.
-  std::string TaintSpec;
-
-  /// Reads the environment overrides.  A malformed numeric value is
-  /// reported naming the variable, and the process exits 1.
-  static CellOptions fromEnv();
-};
-
-/// Runs \p PolicyName over \p Prog and returns the metrics; \c SolveMs is
-/// the median over \c Runs repetitions.  Aborted runs report the paper's
-/// dash convention via \c PrecisionMetrics::Aborted.
-PrecisionMetrics runCell(const Program &Prog, std::string_view PolicyName,
-                         const CellOptions &Opts);
-
-/// Runs every policy in \p Policies over \p Prog, fanning the cells out
-/// over \c Opts.Threads workers, and returns metrics in policy order.
-std::vector<PrecisionMetrics>
-runCells(const Program &Prog, const std::vector<std::string> &Policies,
-         const CellOptions &Opts);
+/// The harnesses' matrix options, read from the environment:
+/// HYBRIDPT_BUDGET_MS (per-cell time budget, default 120000, 0 =
+/// unlimited), HYBRIDPT_RUNS (repetitions per cell; median time reported),
+/// HYBRIDPT_THREADS (worker threads; 0 = hardware), HYBRIDPT_LADDER
+/// (non-empty and not "0" = degrade budget-aborted cells through the
+/// fallback ladder instead of reporting a dash) and HYBRIDPT_PROFILE
+/// (likewise = attach a blame profile to every cell).  A malformed numeric
+/// value is reported naming the variable, and the process exits 1.
+MatrixOptions matrixOptionsFromEnv();
 
 /// One row of a BENCH_*.json file.
 struct BenchRecord {
@@ -117,11 +72,12 @@ BenchRecord makeBenchRecord(const std::string &Benchmark,
                             const PrecisionMetrics &M);
 
 /// Writes \p Records as pretty-printed JSON to \p Path.  The top level
-/// carries the harness configuration so regression diffs can refuse to
-/// compare apples to oranges.  Returns false (and sets \p Error) on I/O
-/// failure.
+/// carries the harness configuration — \p Opts, and \p TaintSpec, the
+/// spec path the harness instrumented its programs with ("" = none) — so
+/// regression diffs can refuse to compare apples to oranges.  Returns
+/// false (and sets \p Error) on I/O failure.
 bool writeBenchJson(const std::string &Path, const std::string &Harness,
-                    const CellOptions &Opts,
+                    const MatrixOptions &Opts, const std::string &TaintSpec,
                     const std::vector<BenchRecord> &Records,
                     std::string &Error);
 

@@ -42,7 +42,7 @@ int main(int argc, char **argv) {
       "2obj+H", "S-2obj+H", "U-2obj+H", "U-2obj+HI", "U-2obj+H-swapped",
       "D-2obj+H"};
 
-  CellOptions Opts = CellOptions::fromEnv();
+  MatrixOptions Opts = matrixOptionsFromEnv();
   std::cout << "Context-choice ablation (paper Section 3 insights + "
                "Section 6 future work):\n\n";
 
@@ -54,9 +54,8 @@ int main(int argc, char **argv) {
       Header.push_back(P);
     T.setHeader(Header);
 
-    std::vector<PrecisionMetrics> Cells;
-    for (const std::string &P : Policies)
-      Cells.push_back(runCell(*Bench.Prog, P, Opts));
+    std::vector<PrecisionMetrics> Cells =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
 
     auto Row = [&](const std::string &Label, auto Get, int Dec) {
       std::vector<std::string> Cols = {Label};

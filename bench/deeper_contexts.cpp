@@ -39,9 +39,9 @@ int main(int argc, char **argv) {
   const std::vector<std::string> Policies = {
       "1call", "2call+H", "1obj", "2obj+H", "3obj+2H", "S-2obj+H"};
 
-  CellOptions Opts = CellOptions::fromEnv();
+  MatrixOptions Opts = matrixOptionsFromEnv();
   std::cout << "Context-depth ladder vs. the selective hybrid.\n"
-            << "(dash = per-cell budget of " << Opts.BudgetMs
+            << "(dash = per-cell budget of " << Opts.Solver.TimeBudgetMs
             << " ms expired)\n\n";
 
   for (const std::string &Name : Selected) {
@@ -52,9 +52,8 @@ int main(int argc, char **argv) {
       Header.push_back(P);
     T.setHeader(Header);
 
-    std::vector<PrecisionMetrics> Cells;
-    for (const std::string &P : Policies)
-      Cells.push_back(runCell(*Bench.Prog, P, Opts));
+    std::vector<PrecisionMetrics> Cells =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
 
     auto Row = [&](const std::string &Label, auto Get, int Dec) {
       std::vector<std::string> Cols = {Label};

@@ -118,7 +118,7 @@ int main(int argc, char **argv) {
     break;
   }
 
-  CellOptions Opts = CellOptions::fromEnv();
+  MatrixOptions Opts = matrixOptionsFromEnv();
   TableWriter CsvOut;
   CsvOut.setHeader({"benchmark", "analysis", "time_s", "may_fail_casts"});
 
@@ -128,8 +128,12 @@ int main(int argc, char **argv) {
   for (const std::string &Name : Selected) {
     Benchmark Bench = buildBenchmark(Name);
     std::vector<Point> Points;
-    for (const std::string &Policy : table1PolicyNames()) {
-      PrecisionMetrics M = runCell(*Bench.Prog, Policy, Opts);
+    const std::vector<std::string> &Policies = table1PolicyNames();
+    std::vector<PrecisionMetrics> Cells =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
+    for (size_t I = 0; I < Policies.size(); ++I) {
+      const std::string &Policy = Policies[I];
+      const PrecisionMetrics &M = Cells[I];
       Points.push_back({Policy, M.SolveMs, M.MayFailCasts, M.Aborted});
       CsvOut.addRow({Name, Policy,
                      M.Aborted ? "-" : formatSeconds(M.SolveMs),

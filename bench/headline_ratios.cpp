@@ -94,7 +94,7 @@ void printRatio(const std::vector<Cells> &All, const char *Claim,
 } // namespace
 
 int main() {
-  CellOptions Opts = CellOptions::fromEnv();
+  MatrixOptions Opts = matrixOptionsFromEnv();
   const std::vector<std::string> Policies = {
       "1obj", "U-1obj", "SA-1obj", "SB-1obj",
       "2obj+H", "U-2obj+H", "S-2obj+H",
@@ -103,9 +103,11 @@ int main() {
   std::vector<Cells> All;
   for (const std::string &Name : benchmarkNames()) {
     Benchmark Bench = buildBenchmark(Name);
+    std::vector<PrecisionMetrics> Ms =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
     Cells C;
-    for (const std::string &Policy : Policies)
-      C.M.emplace(Policy, runCell(*Bench.Prog, Policy, Opts));
+    for (size_t I = 0; I < Policies.size(); ++I)
+      C.M.emplace(Policies[I], Ms[I]);
     All.push_back(std::move(C));
     std::cout << "measured " << Name << "\n";
   }

@@ -34,18 +34,15 @@
 
 #include "BenchUtil.h"
 
+#include "checks/Cli.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "pta/Trace.h"
-#include "support/ParseInt.h"
 #include "support/TableWriter.h"
 #include "support/ThreadPool.h"
-#include "taint/Taint.h"
-#include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
 #include <climits>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -61,38 +58,37 @@ int main(int argc, char **argv) {
   std::string ProfileOut;
   std::string TraceOut;
   std::string ChromeTraceOut;
+  std::string TaintSpec;
   std::vector<std::string> Selected;
-  CellOptions Opts = CellOptions::fromEnv();
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--csv") == 0) {
+  MatrixOptions Opts = matrixOptionsFromEnv();
+  cli::Args Args("table1_main", argc, argv, 1);
+  while (Args.more()) {
+    std::string_view Arg = Args.next();
+    if (Arg == "--csv") {
       Csv = true;
-    } else if (std::strcmp(argv[I], "--ladder") == 0) {
+    } else if (Arg == "--ladder") {
       Opts.UseLadder = true;
-    } else if (std::strcmp(argv[I], "--progress") == 0) {
+    } else if (Arg == "--progress") {
       Progress = true;
-    } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
+    } else if (Arg == "--threads") {
       // 0 = hardware concurrency (resolveThreads; docs/PERF.md).
-      uint64_t N = 0;
-      if (!parseU64(argv[++I], N, UINT_MAX)) {
-        std::cerr << "bad --threads value '" << argv[I] << "'\n";
-        return 1;
-      }
-      Opts.Threads = resolveThreads(static_cast<unsigned>(N));
-    } else if (std::strcmp(argv[I], "--taint-spec") == 0 && I + 1 < argc) {
-      Opts.TaintSpec = argv[++I];
-    } else if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc) {
-      JsonPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--profile-out") == 0 && I + 1 < argc) {
-      ProfileOut = argv[++I];
+      Opts.Threads =
+          resolveThreads(static_cast<unsigned>(Args.number(0, UINT_MAX)));
+    } else if (Arg == "--taint-spec") {
+      TaintSpec = Args.value();
+    } else if (Arg == "--json") {
+      JsonPath = Args.value();
+    } else if (Arg == "--profile-out") {
+      ProfileOut = Args.value();
       Opts.Profile = true;
-    } else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc) {
-      TraceOut = argv[++I];
-    } else if (std::strcmp(argv[I], "--chrome-trace") == 0 && I + 1 < argc) {
-      ChromeTraceOut = argv[++I];
-    } else if (isBenchmarkName(argv[I])) {
-      Selected.push_back(argv[I]);
+    } else if (Arg == "--trace-out") {
+      TraceOut = Args.value();
+    } else if (Arg == "--chrome-trace") {
+      ChromeTraceOut = Args.value();
+    } else if (isBenchmarkName(Arg)) {
+      Selected.emplace_back(Arg);
     } else {
-      std::cerr << "unknown benchmark '" << argv[I] << "'; known:";
+      std::cerr << "unknown benchmark '" << Arg << "'; known:";
       for (const std::string &N : benchmarkNames())
         std::cerr << ' ' << N;
       std::cerr << "\n(options: --csv, --ladder, --threads N, "
@@ -103,20 +99,6 @@ int main(int argc, char **argv) {
   }
   if (Selected.empty())
     Selected = benchmarkNames();
-
-  // --taint-spec: every benchmark runs taint-instrumented, and the JSON
-  // grows a tainted_sinks column (stamped with the spec path so
-  // check_bench_regression.py never diffs tainted against untainted).
-  taint::TaintSpec TaintSpec;
-  if (!Opts.TaintSpec.empty()) {
-    taint::SpecParseResult Parsed = taint::parseSpecFile(Opts.TaintSpec);
-    if (!Parsed.ok()) {
-      for (const std::string &E : Parsed.Errors)
-        std::cerr << "taint spec error: " << E << "\n";
-      return 1;
-    }
-    TaintSpec = Parsed.Spec;
-  }
 
   // Observability: one recorder across all benchmarks, so the matrix
   // renders as a single flame view of cells over worker threads.
@@ -132,14 +114,14 @@ int main(int argc, char **argv) {
     }
     if (Progress)
       Rec->enableProgress(std::cerr);
-    Opts.Trace = Rec.get();
+    Opts.Solver.Trace = Rec.get();
   }
 
   const std::vector<std::string> &Policies = table1PolicyNames();
 
   std::cout << "Table 1: precision and performance metrics for all "
                "benchmarks and analyses.\n"
-            << "(dash = budget of " << Opts.BudgetMs
+            << "(dash = budget of " << Opts.Solver.TimeBudgetMs
             << " ms expired; lower is better everywhere)\n\n";
 
   TableWriter CsvOut;
@@ -155,16 +137,25 @@ int main(int argc, char **argv) {
       FactGenSpan = std::make_unique<trace::TraceRecorder::Span>(
           Rec.get(), Name + "/fact-gen", "phase");
     Benchmark Bench = buildBenchmark(Name);
-    if (!Opts.TaintSpec.empty()) {
-      taint::TaintPlan Plan = taint::resolve(TaintSpec, *Bench.Prog);
-      Bench.Prog = taint::instrument(*Bench.Prog, Plan);
+    // --taint-spec: every benchmark runs taint-instrumented, and the JSON
+    // grows a tainted_sinks column (stamped with the spec path so
+    // check_bench_regression.py never diffs tainted against untainted).
+    if (!TaintSpec.empty()) {
+      std::vector<std::string> Errors;
+      Bench.Prog = cli::instrumentTaint(*Bench.Prog, TaintSpec, Errors);
+      if (!Bench.Prog) {
+        for (const std::string &E : Errors)
+          std::cerr << E << "\n";
+        return 1;
+      }
     }
     FactGenSpan.reset();
 
     // All cells of one benchmark are independent solver runs; fan them
     // out over the worker pool.
     Opts.TraceLabelPrefix = Name + "/";
-    std::vector<PrecisionMetrics> Cells = runCells(*Bench.Prog, Policies, Opts);
+    std::vector<PrecisionMetrics> Cells =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
     for (size_t PI = 0; PI < Policies.size(); ++PI) {
       const PrecisionMetrics &M = Cells[PI];
       Records.push_back(makeBenchRecord(Name, Policies[PI], M));
@@ -224,7 +215,7 @@ int main(int argc, char **argv) {
         [](const PrecisionMetrics &M) { return double(M.PolyVCalls); }, 0);
     Row("may-fail casts",
         [](const PrecisionMetrics &M) { return double(M.MayFailCasts); }, 0);
-    if (!Opts.TaintSpec.empty())
+    if (!TaintSpec.empty())
       Row("tainted sinks",
           [](const PrecisionMetrics &M) { return double(M.TaintedSinks); },
           0);
@@ -253,7 +244,8 @@ int main(int argc, char **argv) {
 
   std::string Error;
   if (!JsonPath.empty() && JsonPath != "-") {
-    if (!writeBenchJson(JsonPath, "table1_main", Opts, Records, Error)) {
+    if (!writeBenchJson(JsonPath, "table1_main", Opts, TaintSpec, Records,
+                        Error)) {
       std::cerr << Error << "\n";
       return 1;
     }

@@ -15,17 +15,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Cli.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
-#include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
 #include "pta/Solver.h"
 #include "workloads/Profiles.h"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 using namespace pt;
@@ -42,33 +40,17 @@ size_t countMayFail(const std::vector<CastCheck> &Checks) {
 } // namespace
 
 int main(int argc, char **argv) {
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  const Program *P = nullptr;
-
   std::string Input = argc > 1 ? argv[1] : "lusearch";
-  if (isBenchmarkName(Input)) {
-    Bench = buildBenchmark(Input);
-    P = Bench.Prog.get();
-    std::cout << "checking casts of built-in benchmark '" << Input << "'\n";
-  } else {
-    std::ifstream In(Input);
-    if (!In) {
-      std::cerr << "'" << Input
-                << "' is neither a benchmark name nor a readable file\n";
-      return 1;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    ParseResult Parsed = parseProgram(Buffer.str());
-    if (!Parsed.ok()) {
-      for (const std::string &E : Parsed.Errors)
-        std::cerr << "parse error: " << E << "\n";
-      return 1;
-    }
-    Owned = std::move(Parsed.Prog);
-    P = Owned.get();
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> Prog = cli::loadProgram(Input, Errors);
+  if (!Prog) {
+    for (const std::string &E : Errors)
+      std::cerr << E << "\n";
+    return 1;
   }
+  const Program *P = Prog.get();
+  if (isBenchmarkName(Input))
+    std::cout << "checking casts of built-in benchmark '" << Input << "'\n";
 
   // The precision ladder, weakest to strongest.
   const std::vector<std::string> Ladder = {"insens", "1call", "1obj",

@@ -18,17 +18,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Cli.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
-#include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
 #include "pta/Solver.h"
-#include "workloads/Profiles.h"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace pt;
 
@@ -89,33 +86,21 @@ void printDetail(const Program &P, const std::vector<DevirtSite> &Sites,
 
 int main(int argc, char **argv) {
   std::string PolicyName = argc > 1 ? argv[1] : "";
-  std::unique_ptr<Program> Owned;
-  const Program *P = nullptr;
-  Benchmark Bench;
-
-  if (argc > 2) {
-    std::ifstream In(argv[2]);
-    if (!In) {
-      std::cerr << "cannot open '" << argv[2] << "'\n";
-      return 1;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    ParseResult Parsed = parseProgram(Buffer.str());
-    if (!Parsed.ok()) {
-      for (const std::string &E : Parsed.Errors)
-        std::cerr << "parse error: " << E << "\n";
-      return 1;
-    }
-    Owned = std::move(Parsed.Prog);
-    P = Owned.get();
-    std::cout << "analyzing " << argv[2] << "\n";
-  } else {
-    Bench = buildBenchmark("luindex");
-    P = Bench.Prog.get();
+  // A PTIR file when given, the built-in luindex benchmark otherwise.
+  std::string Input = argc > 2 ? argv[2] : "luindex";
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> Prog = cli::loadProgram(Input, Errors);
+  if (!Prog) {
+    for (const std::string &E : Errors)
+      std::cerr << E << "\n";
+    return 1;
+  }
+  const Program *P = Prog.get();
+  if (argc > 2)
+    std::cout << "analyzing " << Input << "\n";
+  else
     std::cout << "analyzing built-in benchmark 'luindex' ("
               << P->numMethods() << " methods)\n";
-  }
 
   if (!PolicyName.empty()) {
     auto Sites = analyzeWith(*P, PolicyName);

@@ -47,17 +47,10 @@ LintRun pt::checks::lintProgram(const Program &Prog, const LintOptions &Opts) {
     Run.Error = "unknown policy '" + Opts.Policy + "'";
     return Run;
   }
-  SolverOptions SOpts;
-  SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
-  SOpts.MaxFacts = Opts.MaxFacts;
-  SOpts.MemoryBudgetBytes = Opts.MemoryBudgetBytes;
-  SOpts.Cancel = Opts.Cancel;
-  SOpts.Prov = Opts.Prov;
-  Solver S(Prog, *Policy, SOpts);
-  AnalysisResult Result = S.run();
+  AnalysisResult Result = solveProgram(Prog, *Policy, Opts.Solver);
   LintRun Run = runCheckers(Result, Opts.Checks);
-  if (PT_PROV_ACTIVE(Opts.Prov))
-    attachDerivationFlows(Result, *Opts.Prov, Run.Diags);
+  if (PT_PROV_ACTIVE(Opts.Solver.Prov))
+    attachDerivationFlows(Result, *Opts.Solver.Prov, Run.Diags);
   if (Opts.KeepResult) {
     Run.Policy = std::move(Policy);
     Run.Result.emplace(std::move(Result));
@@ -96,39 +89,18 @@ int64_t CompareResult::reduction() const {
   return Sum;
 }
 
-CompareResult pt::checks::comparePolicies(const Program &Prog,
-                                          const std::string &Base,
-                                          const std::string &Refined,
-                                          const LintOptions &Opts) {
+CompareResult pt::checks::compareRuns(std::string BasePolicy, LintRun Base,
+                                      std::string RefinedPolicy,
+                                      LintRun Refined) {
   CompareResult CR;
-  CR.BasePolicy = Base;
-  CR.RefinedPolicy = Refined;
-
-  LintOptions BaseOpts = Opts;
-  BaseOpts.Policy = Base;
-  // Two runs cannot share one arena: fact payloads embed per-run dense
-  // object ids.  The comparison never reads provenance anyway.
-  BaseOpts.Prov = nullptr;
-  BaseOpts.KeepResult = false;
-  CR.Base = lintProgram(Prog, BaseOpts);
-  if (!CR.Base.ok()) {
-    CR.Error = CR.Base.Error;
-    return CR;
-  }
-  LintOptions RefOpts = Opts;
-  RefOpts.Policy = Refined;
-  RefOpts.Prov = nullptr;
-  RefOpts.KeepResult = false;
-  CR.Refined = lintProgram(Prog, RefOpts);
-  if (!CR.Refined.ok()) {
-    CR.Error = CR.Refined.Error;
-    return CR;
-  }
+  CR.BasePolicy = std::move(BasePolicy);
+  CR.RefinedPolicy = std::move(RefinedPolicy);
+  CR.Base = std::move(Base);
+  CR.Refined = std::move(Refined);
   if (CR.Base.Aborted || CR.Refined.Aborted) {
     CR.Error = "a run hit its budget; the comparison would be meaningless";
     return CR;
   }
-
   for (const CheckerInfo &Info : CR.Base.Rules) {
     CheckDelta Delta;
     Delta.CheckId = Info.Id;
@@ -144,6 +116,30 @@ CompareResult pt::checks::comparePolicies(const Program &Prog,
     CR.Deltas.push_back(std::move(Delta));
   }
   return CR;
+}
+
+CompareResult pt::checks::comparePolicies(const Program &Prog,
+                                          const std::string &Base,
+                                          const std::string &Refined,
+                                          const LintOptions &Opts) {
+  // Two runs cannot share one arena: fact payloads embed per-run dense
+  // object ids.  The comparison never reads provenance anyway.
+  LintOptions RunOpts = Opts;
+  RunOpts.Solver.Prov = nullptr;
+  RunOpts.KeepResult = false;
+  LintRun Runs[2];
+  for (int I = 0; I < 2; ++I) {
+    RunOpts.Policy = I ? Refined : Base;
+    Runs[I] = lintProgram(Prog, RunOpts);
+    if (!Runs[I].ok()) {
+      CompareResult CR;
+      CR.BasePolicy = Base;
+      CR.RefinedPolicy = Refined;
+      CR.Error = Runs[I].Error;
+      return CR;
+    }
+  }
+  return compareRuns(Base, std::move(Runs[0]), Refined, std::move(Runs[1]));
 }
 
 void pt::checks::renderCompare(std::ostream &OS, const CompareResult &CR) {

@@ -19,8 +19,7 @@
 #include "checks/Checker.h"
 #include "checks/Diagnostic.h"
 #include "pta/AnalysisResult.h"
-#include "pta/provenance/Provenance.h"
-#include "support/Cancel.h"
+#include "pta/Solver.h"
 
 #include <cstdint>
 #include <memory>
@@ -43,22 +42,18 @@ struct LintOptions {
   std::string Policy = "2obj+H";
   /// Checker ids to run; empty = all registered checkers.
   std::vector<std::string> Checks;
-  /// Solver budgets, 0 = unlimited.
-  uint64_t TimeBudgetMs = 0;
-  uint64_t MaxFacts = 0;
-  uint64_t MemoryBudgetBytes = 0;
-  /// Cooperative cancellation (^C / deadline); nullptr = none.  A
-  /// cancelled run still renders and flushes its report, marked aborted.
-  const CancelToken *Cancel = nullptr;
-  /// Derivation provenance recorder.  When set, the solver records into it
-  /// and diagnostics with "why" anchors get their derivation attached as
-  /// \c Diagnostic::Flow (SARIF codeFlows).  The recorder must be empty;
-  /// comparePolicies ignores it (two runs cannot share one arena).
-  prov::Recorder *Prov = nullptr;
+  /// Everything the solve runs under: budgets, cancellation (^C /
+  /// deadline; a cancelled run still renders its report, marked aborted),
+  /// fault plan, trace sink and derivation-provenance recorder.  When
+  /// \c Solver.Prov is set, diagnostics with "why" anchors get their
+  /// derivation attached as \c Diagnostic::Flow (SARIF codeFlows); the
+  /// recorder must be empty, and comparePolicies ignores it (two runs
+  /// cannot share one arena).
+  SolverOptions Solver;
   /// Keep the solved result (and its policy) alive in the returned
   /// \c LintRun so callers can run post-lint provenance queries against it
-  /// (`hybridpt-lint --why`); fact ids in \c Prov are only meaningful
-  /// against this result's object tables.
+  /// (`hybridpt-lint --why`); fact ids in \c Solver.Prov are only
+  /// meaningful against this result's object tables.
   bool KeepResult = false;
 };
 
@@ -127,6 +122,12 @@ struct CompareResult {
   /// precision win.  Non-negative whenever monotonicity holds.
   int64_t reduction() const;
 };
+
+/// Diffs the diagnostic sets of two finished runs, per checker of
+/// \p Base's rule table; no solving.  The comparison is void (\c Error
+/// set) when either run aborted.
+CompareResult compareRuns(std::string BasePolicy, LintRun Base,
+                          std::string RefinedPolicy, LintRun Refined);
 
 /// Lints \p Prog under both policies and diffs the diagnostic sets.
 CompareResult comparePolicies(const Program &Prog, const std::string &Base,

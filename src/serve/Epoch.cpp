@@ -6,11 +6,8 @@
 
 #include "serve/Epoch.h"
 
+#include "checks/Cli.h"
 #include "ir/Program.h"
-#include "irtext/TextFormat.h"
-
-#include <fstream>
-#include <sstream>
 
 using namespace pt;
 using namespace pt::serve;
@@ -18,32 +15,17 @@ using namespace pt::serve;
 std::shared_ptr<const Epoch> pt::serve::loadEpoch(uint64_t Id,
                                                   const std::string &Spec,
                                                   std::string &Error) {
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> Prog = cli::loadProgram(Spec, Errors);
+  if (!Prog) {
+    // The first error names the problem; the rest are usually noise.
+    Error = Errors.front();
+    return nullptr;
+  }
   auto Ep = std::make_shared<Epoch>();
   Ep->Id = Id;
   Ep->Spec = Spec;
-  if (isBenchmarkName(Spec)) {
-    Ep->Bench = buildBenchmark(Spec);
-    Ep->Prog = Ep->Bench.Prog.get();
-    return Ep;
-  }
-  std::ifstream In(Spec);
-  if (!In) {
-    Error = "cannot open '" + Spec + "'";
-    return nullptr;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  ParseResult Parsed = parseProgram(Buffer.str(), Spec);
-  if (!Parsed.ok()) {
-    Error = "parse error in '" + Spec + "'";
-    for (const std::string &E : Parsed.Errors) {
-      Error += ": " + E;
-      break; // First error names the problem; the rest are usually noise.
-    }
-    return nullptr;
-  }
-  Ep->Owned = std::move(Parsed.Prog);
-  Ep->Prog = Ep->Owned.get();
+  Ep->Prog = std::move(Prog);
   return Ep;
 }
 

@@ -30,7 +30,6 @@
 
 #include "pta/AnalysisResult.h"
 #include "pta/Metrics.h"
-#include "workloads/Profiles.h"
 
 #include <cstdint>
 #include <list>
@@ -54,15 +53,12 @@ struct Epoch {
   uint64_t Id = 0;
   /// What was loaded: a built-in benchmark name or a PTIR file path.
   std::string Spec;
-  /// Ownership: exactly one of these holds the program.
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  /// The program, whoever owns it.
-  const Program *Prog = nullptr;
+  std::unique_ptr<const Program> Prog;
 };
 
-/// Loads \p Spec (benchmark name or PTIR file) as epoch \p Id.  Returns
-/// nullptr and fills \p Error on failure.
+/// Loads \p Spec (benchmark name or PTIR file, through the tools' one
+/// loader, checks/Cli.h) as epoch \p Id.  Returns nullptr and fills
+/// \p Error on failure.
 std::shared_ptr<const Epoch> loadEpoch(uint64_t Id, const std::string &Spec,
                                        std::string &Error);
 

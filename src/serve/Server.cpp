@@ -283,12 +283,13 @@ void Server::workerLoop() {
 
 SolverOptions Server::solverOptions(const Request &Req, CancelToken &Tok,
                                     const FaultPlan *Fault) const {
-  SolverOptions SOpts;
-  SOpts.TimeBudgetMs = Req.BudgetMs ? Req.BudgetMs : Opts.DefaultBudgetMs;
-  SOpts.MaxFacts = Req.MaxFacts ? Req.MaxFacts : Opts.DefaultMaxFacts;
-  uint64_t MemMb =
-      Req.MaxMemoryMb ? Req.MaxMemoryMb : Opts.DefaultMaxMemoryMb;
-  SOpts.MemoryBudgetBytes = MemMb * 1000000;
+  SolverOptions SOpts = Opts.Solver;
+  if (Req.BudgetMs)
+    SOpts.TimeBudgetMs = Req.BudgetMs;
+  if (Req.MaxFacts)
+    SOpts.MaxFacts = Req.MaxFacts;
+  if (Req.MaxMemoryMb)
+    SOpts.MemoryBudgetBytes = Req.MaxMemoryMb * 1000000;
   SOpts.Cancel = &Tok;
   if (Fault)
     SOpts.Faults = *Fault;
@@ -297,7 +298,7 @@ SolverOptions Server::solverOptions(const Request &Req, CancelToken &Tok,
 
 std::shared_ptr<const CacheEntry>
 Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
-                  const FaultPlan *Fault, Outcome &Out) {
+                  const FaultPlan *Fault, bool Ladder, Outcome &Out) {
   const Program &P = *Job.Ep->Prog;
   const std::string Key =
       "solve/e" + std::to_string(Job.Ep->Id) + "/" + Policy;
@@ -348,7 +349,7 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
   SolverOptions SOpts = solverOptions(Job.Req, Tok, Fault);
   auto Entry = std::make_shared<CacheEntry>();
   Entry->Ep = Job.Ep;
-  if (Opts.UseLadder) {
+  if (Ladder) {
     LadderResult LR = solveWithLadder(P, Policy, SOpts, {});
     if (!LR.Result) {
       Out.Code = ErrorCode::Internal;
@@ -375,7 +376,7 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
       Out.Code = ErrorCode::Budget;
       Out.Error = std::string("solver budget exhausted (") +
                   abortReasonName(Entry->Result->Reason) +
-                  (Opts.UseLadder ? "; ladder exhausted)" : ")");
+                  (Ladder ? "; ladder exhausted)" : ")");
     }
     return nullptr;
   }
@@ -386,6 +387,31 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
   if (Cacheable && Entry->FallbackFrom.empty())
     Cache.put(Key, Entry);
   return Entry;
+}
+
+bool Server::cachedLines(const std::string &Key, const FaultPlan *Fault,
+                         Outcome &Out) {
+  if (Fault)
+    return false;
+  std::shared_ptr<const CacheEntry> E = Cache.get(Key);
+  if (!E)
+    return false;
+  Out.Ok = true;
+  Out.CacheHit = true;
+  Out.Policy = E->LandedPolicy;
+  Out.Lines = E->Lines;
+  return true;
+}
+
+void Server::publishLines(const std::string &Key, const Job &Job,
+                          const FaultPlan *Fault, const Outcome &Out) {
+  if (Fault || !Out.FallbackFrom.empty())
+    return;
+  auto E = std::make_shared<CacheEntry>();
+  E->Ep = Job.Ep;
+  E->LandedPolicy = Out.Policy;
+  E->Lines = Out.Lines;
+  Cache.put(Key, E);
 }
 
 Server::Outcome Server::runPointsTo(const Job &Job, CancelToken &Tok,
@@ -399,7 +425,8 @@ Server::Outcome Server::runPointsTo(const Job &Job, CancelToken &Tok,
     return Out;
   }
   std::shared_ptr<const CacheEntry> E =
-      solveCell(Job, requestedPolicy(Job.Req), Tok, Fault, Out);
+      solveCell(Job, requestedPolicy(Job.Req), Tok, Fault, Opts.UseLadder,
+                Out);
   if (!E)
     return Out;
   Out.Ok = true;
@@ -413,7 +440,8 @@ Server::Outcome Server::runCallGraph(const Job &Job, CancelToken &Tok,
                                      const FaultPlan *Fault) {
   Outcome Out;
   std::shared_ptr<const CacheEntry> E =
-      solveCell(Job, requestedPolicy(Job.Req), Tok, Fault, Out);
+      solveCell(Job, requestedPolicy(Job.Req), Tok, Fault, Opts.UseLadder,
+                Out);
   if (!E)
     return Out;
   Out.Ok = true;
@@ -429,17 +457,10 @@ Server::Outcome Server::runLint(const Job &Job, CancelToken &Tok,
   const std::string Policy = requestedPolicy(Job.Req);
   const std::string Key = "lint/e" + std::to_string(Job.Ep->Id) + "/" +
                           Policy + "/" + joinChecks(Job.Req.Checks);
-  if (!Fault) {
-    if (std::shared_ptr<const CacheEntry> E = Cache.get(Key)) {
-      Out.Ok = true;
-      Out.CacheHit = true;
-      Out.Policy = E->LandedPolicy;
-      Out.Lines = E->Lines;
-      return Out;
-    }
-  }
+  if (cachedLines(Key, Fault, Out))
+    return Out;
   std::shared_ptr<const CacheEntry> SC =
-      solveCell(Job, Policy, Tok, Fault, Out);
+      solveCell(Job, Policy, Tok, Fault, Opts.UseLadder, Out);
   if (!SC)
     return Out;
   checks::LintRun Run = checks::runCheckers(*SC->Result, Job.Req.Checks);
@@ -452,77 +473,52 @@ Server::Outcome Server::runLint(const Job &Job, CancelToken &Tok,
   Out.Policy = SC->LandedPolicy;
   Out.FallbackFrom = SC->FallbackFrom;
   Out.Lines = lintLines(*Job.Ep->Prog, Run.Diags, SC->LandedPolicy);
-  if (!Fault && SC->FallbackFrom.empty()) {
-    auto E = std::make_shared<CacheEntry>();
-    E->Ep = Job.Ep;
-    E->LandedPolicy = SC->LandedPolicy;
-    E->Lines = Out.Lines;
-    Cache.put(Key, E);
-  }
+  publishLines(Key, Job, Fault, Out);
   return Out;
 }
 
 Server::Outcome Server::runCompare(const Job &Job, CancelToken &Tok,
                                    const FaultPlan *Fault) {
   Outcome Out;
-  (void)Fault; // Compare solves twice through the checks driver, which has
-               // no fault hook; the replay driver schedules faults onto
-               // the other kinds.
-  const Program &P = *Job.Ep->Prog;
+  const std::string Key = "compare/e" + std::to_string(Job.Ep->Id) + "/" +
+                          Job.Req.Base + "/" + Job.Req.Refined + "/" +
+                          joinChecks(Job.Req.Checks);
+  if (cachedLines(Key, Fault, Out))
+    return Out;
+  // Both names first: a typo'd refined policy must not cost a base solve.
   for (const std::string &Name : {Job.Req.Base, Job.Req.Refined}) {
-    if (!createPolicy(Name, P)) {
+    if (!createPolicy(Name, *Job.Ep->Prog)) {
       Out.Code = ErrorCode::UnknownPolicy;
       Out.Error = "unknown policy '" + Name + "'";
       return Out;
     }
   }
-  const std::string Key = "compare/e" + std::to_string(Job.Ep->Id) + "/" +
-                          Job.Req.Base + "/" + Job.Req.Refined + "/" +
-                          joinChecks(Job.Req.Checks);
-  if (std::shared_ptr<const CacheEntry> E = Cache.get(Key)) {
-    Out.Ok = true;
-    Out.CacheHit = true;
-    Out.Policy = E->LandedPolicy;
-    Out.Lines = E->Lines;
-    return Out;
-  }
-  checks::LintOptions LO;
-  LO.Checks = Job.Req.Checks;
-  LO.TimeBudgetMs =
-      Job.Req.BudgetMs ? Job.Req.BudgetMs : Opts.DefaultBudgetMs;
-  LO.MaxFacts = Job.Req.MaxFacts ? Job.Req.MaxFacts : Opts.DefaultMaxFacts;
-  LO.MemoryBudgetBytes =
-      (Job.Req.MaxMemoryMb ? Job.Req.MaxMemoryMb : Opts.DefaultMaxMemoryMb) *
-      1000000;
-  LO.Cancel = &Tok;
-  checks::CompareResult CR =
-      checks::comparePolicies(P, Job.Req.Base, Job.Req.Refined, LO);
-  if (!CR.ok()) {
-    Out.Code = ErrorCode::Internal;
-    Out.Error = CR.Error;
-    return Out;
-  }
-  if (CR.Base.Aborted || CR.Refined.Aborted) {
-    AbortReason Reason =
-        CR.Base.Aborted ? CR.Base.Reason : CR.Refined.Reason;
-    if (Reason == AbortReason::Cancelled) {
-      Out.Code = ErrorCode::Cancelled;
-      Out.Error = "request cancelled (deadline or shutdown)";
-    } else {
-      Out.Code = ErrorCode::Budget;
-      Out.Error = std::string("comparison aborted (") +
-                  abortReasonName(Reason) + ")";
+  // Both cells come through the one solve path, never down the ladder: a
+  // comparison of a coarser rung would not answer the question asked.
+  // The answer counts as a cache hit when both cells were cached.
+  checks::LintRun Runs[2];
+  bool AllHit = true;
+  for (int I = 0; I < 2; ++I) {
+    Out.CacheHit = false;
+    std::shared_ptr<const CacheEntry> SC =
+        solveCell(Job, I ? Job.Req.Refined : Job.Req.Base, Tok, Fault,
+                  /*Ladder=*/false, Out);
+    if (!SC)
+      return Out;
+    AllHit = AllHit && Out.CacheHit;
+    Runs[I] = checks::runCheckers(*SC->Result, Job.Req.Checks);
+    if (!Runs[I].ok()) {
+      Out.Code = ErrorCode::BadRequest;
+      Out.Error = Runs[I].Error;
+      return Out;
     }
-    return Out;
   }
   Out.Ok = true;
+  Out.CacheHit = AllHit;
   Out.Policy = Job.Req.Base + "->" + Job.Req.Refined;
-  Out.Lines = compareLines(CR);
-  auto E = std::make_shared<CacheEntry>();
-  E->Ep = Job.Ep;
-  E->LandedPolicy = Out.Policy;
-  E->Lines = Out.Lines;
-  Cache.put(Key, E);
+  Out.Lines = compareLines(checks::compareRuns(
+      Job.Req.Base, std::move(Runs[0]), Job.Req.Refined, std::move(Runs[1])));
+  publishLines(Key, Job, Fault, Out);
   return Out;
 }
 

@@ -71,10 +71,12 @@ struct ServerOptions {
   size_t CacheEntries = 32;
   /// Default per-request wall-clock deadline (0 = none).
   uint64_t DefaultDeadlineMs = 0;
-  /// Default solver budgets (0 = unlimited), overridable per request.
-  uint64_t DefaultBudgetMs = 0;
-  uint64_t DefaultMaxFacts = 0;
-  uint64_t DefaultMaxMemoryMb = 0;
+  /// Default solver options of every request: the budgets (0 =
+  /// unlimited; the guard flags of hybridpt-serve write them, checks/Cli.h)
+  /// are overridable per request, and Cancel and Faults are set per
+  /// request.  Prov must stay null: concurrent solves cannot share one
+  /// derivation arena.
+  SolverOptions Solver;
   /// Suggested client back-off stamped on shed replies.
   uint64_t RetryAfterMs = 50;
   /// Descend the fallback ladder on budget-blown solves.
@@ -158,14 +160,23 @@ private:
   void execute(Job &Job);
   Outcome runWork(const Job &Job, CancelToken &Tok, const FaultPlan *Fault);
 
-  /// The solve behind points-to/callgraph/lint: cache-aware, in-flight
-  /// deduplicated, ladder-enabled.  On failure fills \p Out's error
-  /// fields and returns nullptr.
+  /// The one solve behind every work kind: guarded, fault-injectable,
+  /// cache-aware and in-flight deduplicated, descending the fallback
+  /// ladder when \p Ladder is set.  Sets \p Out's CacheHit on a hit.  On
+  /// failure fills \p Out's error fields and returns nullptr.
   std::shared_ptr<const CacheEntry> solveCell(const Job &Job,
                                               const std::string &Policy,
                                               CancelToken &Tok,
                                               const FaultPlan *Fault,
-                                              Outcome &Out);
+                                              bool Ladder, Outcome &Out);
+
+  /// Rendered answers (lint, compare) are cached next to the solves they
+  /// are built from.  A faulted request neither reads nor publishes them;
+  /// neither does a degraded answer get published.
+  bool cachedLines(const std::string &Key, const FaultPlan *Fault,
+                   Outcome &Out);
+  void publishLines(const std::string &Key, const Job &Job,
+                    const FaultPlan *Fault, const Outcome &Out);
 
   Outcome runPointsTo(const Job &Job, CancelToken &Tok,
                       const FaultPlan *Fault);

@@ -13,9 +13,10 @@ solve).  Regenerate a golden after auditing a diff:
         examples/programs/factory.ptir > tests/golden/factory.explain.txt
 
 Beyond the goldens: --format json/dot must be well-formed, a query the
-policy actually refutes must exit 1 with no derivation, and the ladder run
-must land on the expected rung and answer queries from the landed rung's
-arena only.
+policy actually refutes must exit 1 with no derivation, `hybridpt-lint
+--why` must print the same tree (and the same message for a malformed
+query) as `hybridpt explain`, and the ladder run must land on the expected
+rung and answer queries from the landed rung's arena only.
 
 Registered with ctest from tests/CMakeLists.txt; stdlib only.
 """
@@ -63,6 +64,8 @@ def check_golden(name, actual, golden_path):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--hybridpt", required=True)
+    ap.add_argument("--lint", default="",
+                    help="hybridpt-lint binary, for the --why parity check")
     ap.add_argument("--examples", required=True)
     ap.add_argument("--golden", required=True,
                     help="directory holding *.explain.txt goldens")
@@ -128,6 +131,34 @@ def main():
                     "--why", bad, factory])
         check(proc.returncode == 1,
               f"bad query {bad!r}: exited {proc.returncode}, want 1")
+
+    # Both --why front doors give one answer: `hybridpt explain` and
+    # `hybridpt-lint --why` answer through checks/Cli.h, so the tree text
+    # is identical, and a malformed query gets the same message and exit.
+    if args.lint:
+        for name, prog, why in (("factory", factory, FACTORY_WHY),
+                                ("dispatch", dispatch, DISPATCH_WHY)):
+            ex = run([args.hybridpt, "explain", "--policy", "2obj+H",
+                      "--why", why, prog])
+            li = run([args.lint, "--policy", "2obj+H", "--output",
+                      os.devnull, "--why", why, prog])
+            check(ex.returncode == 0 and li.returncode == 0,
+                  f"{name} parity: exits {ex.returncode}/{li.returncode}")
+            check(ex.stdout == li.stdout and "derivation" in ex.stdout,
+                  f"{name} parity: explain and lint trees differ:\n"
+                  f"{ex.stdout[:600]}\n---\n{li.stdout[:600]}")
+        for bad in ("var=Basket::fill/0::a", "var=No::such/0::v,heap=x",
+                    "frob=1", "var"):
+            ex = run([args.hybridpt, "explain", "--policy", "2obj+H",
+                      "--why", bad, factory])
+            li = run([args.lint, "--policy", "2obj+H", "--output",
+                      os.devnull, "--why", bad, factory])
+            check(ex.returncode == li.returncode == 1,
+                  f"bad query {bad!r} parity: exits "
+                  f"{ex.returncode}/{li.returncode}, want 1/1")
+            check(ex.stderr == li.stderr and ex.stderr.strip(),
+                  f"bad query {bad!r} parity: messages differ: "
+                  f"{ex.stderr!r} vs {li.stderr!r}")
 
     # The ladder-degraded cell: 2call+H blows a 21000-fact budget on
     # luindex, the ladder walk lands on 1call, and the query is answered

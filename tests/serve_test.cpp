@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Driver.h"
 #include "serve/Canon.h"
 #include "serve/Epoch.h"
 #include "serve/Protocol.h"
@@ -30,6 +31,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -423,15 +425,20 @@ TEST(ServerE2E, UnknownPolicyAndVarGetStructuredCodes) {
   EXPECT_TRUE(S.handleLine(
       R"({"id": 2, "kind": "points-to", "var": "No::such/0::v"})",
       Box.fn()));
-  std::vector<std::string> Replies = Box.waitFor(2);
-  ASSERT_EQ(Replies.size(), 2u);
+  EXPECT_TRUE(S.handleLine(R"({"id": 3, "kind": "compare", )"
+                           R"("base": "2obj+H", "refined": "999obj"})",
+                           Box.fn()));
+  std::vector<std::string> Replies = Box.waitFor(3);
+  ASSERT_EQ(Replies.size(), 3u);
   for (const std::string &Line : Replies) {
     json::Value V = reply(Line);
     EXPECT_FALSE(replyOk(V));
     uint64_t Id = 0;
     ASSERT_TRUE(V.find("id")->asU64(Id));
-    EXPECT_EQ(replyCode(V), Id == 1 ? "unknown-policy" : "unknown-var");
+    EXPECT_EQ(replyCode(V), Id == 2 ? "unknown-var" : "unknown-policy");
   }
+  EXPECT_EQ(S.cacheStats().Entries, 0u)
+      << "a compare naming an unknown policy must not solve the other one";
 }
 
 TEST(ServerE2E, ZeroQueueShedsWithRetryAfter) {
@@ -578,6 +585,94 @@ TEST(ServerE2E, BudgetFaultLandsLadderRungAndSaysSo) {
   EXPECT_EQ(V2.find("degraded"), nullptr)
       << "degraded results must never satisfy a clean request";
   EXPECT_FALSE(V2.find("cache_hit")->B);
+}
+
+/// "Class::method/arity::var" of the first local variable of \p P.
+std::string firstVarPath(const Program &P) {
+  for (size_t I = 0; I < P.numMethods(); ++I) {
+    const MethodInfo &Info = P.method(MethodId::fromIndex(I));
+    if (Info.Locals.empty())
+      continue;
+    const SigInfo &Sig = P.sig(Info.Sig);
+    return std::string(P.text(P.type(Info.Owner).Name)) + "::" +
+           std::string(P.text(Sig.Name)) + "/" + std::to_string(Sig.Arity) +
+           "::" + std::string(P.text(P.var(Info.Locals.front()).Name));
+  }
+  return "";
+}
+
+TEST(ServerE2E, FaultedCompareNeverReadsTheCache) {
+  // A clean compare publishes its answer; the faulted compare after it
+  // must run under its fault plan (an oom at the first step, no ladder)
+  // instead of coming back ok from the cache.
+  ServerOptions Opts = smallServer();
+  std::string PlanError;
+  ASSERT_TRUE(RequestFaultPlan::parse("2=oom-at-step=1", Opts.Faults,
+                                      PlanError))
+      << PlanError;
+  Opts.Workers = 1; // serialize: ordinal 1 completes before ordinal 2
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
+  Server S(std::move(Opts));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  const char *Compare =
+      R"("kind": "compare", "base": "insens", "refined": "2obj+H"})";
+  for (int Id = 1; Id <= 3; ++Id)
+    EXPECT_TRUE(S.handleLine(
+        "{\"id\": " + std::to_string(Id) + ", " + Compare, Box.fn()));
+  std::vector<std::string> Replies = Box.waitFor(3);
+  ASSERT_EQ(Replies.size(), 3u);
+  for (const std::string &Line : Replies) {
+    json::Value V = reply(Line);
+    uint64_t Id = 0;
+    ASSERT_TRUE(V.find("id")->asU64(Id));
+    if (Id == 2) {
+      EXPECT_FALSE(replyOk(V)) << "faulted compare served clean: " << Line;
+      EXPECT_EQ(replyCode(V), "budget") << Line;
+      EXPECT_NE(V.find("faulted"), nullptr) << Line;
+    } else {
+      ASSERT_TRUE(replyOk(V)) << Line;
+      EXPECT_EQ(V.find("cache_hit")->B, Id == 3)
+          << "the faulted compare must not have touched the cache: "
+          << Line;
+    }
+  }
+  EXPECT_EQ(S.stats().Faulted, 1u);
+}
+
+TEST(ServerE2E, CompareOverCachedCellsMatchesBatchCli) {
+  // Points-to requests solve and cache both cells; the compare that
+  // follows is built from those cached cells (no new solve) and its lines
+  // are exactly the `hybridpt-lint --compare` rendering.
+  ServerOptions Opts = smallServer();
+  Opts.Workers = 1;
+  ReplyBox Box; // Declared first: must outlive S (see ReplyBox).
+  Server S(std::move(Opts));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  std::shared_ptr<const Epoch> Ep = loadEpoch(1, "luindex", Error);
+  ASSERT_NE(Ep, nullptr) << Error;
+  const std::string Var = firstVarPath(*Ep->Prog);
+  ASSERT_FALSE(Var.empty());
+  int Id = 0;
+  for (const char *Policy : {"2obj+H", "S-2obj+H"})
+    EXPECT_TRUE(S.handleLine("{\"id\": " + std::to_string(++Id) +
+                                 R"(, "kind": "points-to", "policy": ")" +
+                                 Policy + R"(", "var": ")" + Var + "\"}",
+                             Box.fn()));
+  EXPECT_TRUE(S.handleLine(R"({"id": 3, "kind": "compare", )"
+                           R"("base": "2obj+H", "refined": "S-2obj+H"})",
+                           Box.fn()));
+  std::vector<std::string> Replies = Box.waitFor(3);
+  ASSERT_EQ(Replies.size(), 3u);
+  json::Value V = reply(Replies.back());
+  ASSERT_TRUE(replyOk(V)) << Replies.back();
+  EXPECT_TRUE(V.find("cache_hit")->B) << "compare re-solved cached cells";
+
+  std::ostringstream Batch;
+  checks::renderCompare(
+      Batch, checks::comparePolicies(*Ep->Prog, "2obj+H", "S-2obj+H"));
+  EXPECT_EQ(replyLines(V), splitLines(Batch.str()));
 }
 
 TEST(ServerE2E, ReloadSwapsEpochAndFailedReloadLeavesItAlone) {

@@ -8,8 +8,9 @@ hybridpt.
 Every malformed input — missing file, empty file, truncated JSONL, wrong
 top-level JSON shape, non-numeric fields — must produce a clear one-line
 error or warning and a controlled exit code, never a Python traceback.
-A bad numeric flag value must end in the tool's usage exit, never in an
-abort and never in a silent default.
+A bad or missing flag value must be reported naming the flag and end in
+the tool's usage exit code, never in an abort and never in a silent
+default.
 
 Runs under pytest (each test_* function is collected) and standalone
 (`python3 tests/tools_cli_test.py`).
@@ -293,36 +294,6 @@ def test_lint_compare_known_pair_is_not_conflated():
 BAD_NUMBERS = ["abc", "", "-1", "+3", " 3", "3x", "18446744073709551616"]
 
 
-def assert_usage_exit(proc, code, context):
-    assert_no_traceback(proc, context)
-    assert proc.returncode == code, (context, proc.returncode,
-                                     proc.stdout[-300:], proc.stderr[-300:])
-    assert "usage:" in proc.stderr, (context, proc.stderr[-300:])
-
-
-def test_hybridpt_rejects_bad_numeric_flags():
-    # Before: `--max-memory-mb abc` and `--budget x` exited 0 with the
-    # garbage read as 0 = unlimited; `-1` wrapped to a huge value.
-    hybridpt = _bin("hybridpt")
-    if not hybridpt:
-        print("skip: hybridpt binary not provided (--hybridpt)")
-        return
-    for flag in ("--budget", "--max-facts", "--max-memory-mb",
-                 "--deadline-ms", "--threads"):
-        for bad in BAD_NUMBERS:
-            proc = run_bin(hybridpt, flag, bad, EXAMPLE_PTIR)
-            assert_usage_exit(proc, 1, "hybridpt %s %r" % (flag, bad))
-    # A megabyte count whose byte budget would wrap is out of range too.
-    proc = run_bin(hybridpt, "--max-memory-mb", "18446744073709551",
-                   EXAMPLE_PTIR)
-    assert_usage_exit(proc, 1, "hybridpt --max-memory-mb wraps")
-    # Control: well-formed values still run.
-    proc = run_bin(hybridpt, "--budget", "0", "--max-facts", "0",
-                   "--max-memory-mb", "0", "--threads", "1", EXAMPLE_PTIR)
-    assert proc.returncode == 0, proc.stderr
-    assert "ABORTED" not in proc.stdout, proc.stdout
-
-
 def test_hybridpt_huge_deadline_does_not_cancel_at_once():
     # Before: the deadline overflowed the clock into the past, so the run
     # was cancelled at its first guard poll (luindex is large enough to
@@ -335,36 +306,6 @@ def test_hybridpt_huge_deadline_does_not_cancel_at_once():
                    "luindex")
     assert proc.returncode == 0, proc.stderr
     assert "ABORTED" not in proc.stdout, proc.stdout
-
-
-def test_lint_rejects_bad_numeric_flags():
-    # Before: `--max-memory-mb abc` died of an uncaught
-    # std::invalid_argument (exit 134).
-    lint = _lint()
-    if not lint:
-        print("skip: hybridpt-lint binary not provided (--lint)")
-        return
-    for flag in ("--budget", "--max-facts", "--max-memory-mb",
-                 "--deadline-ms"):
-        for bad in BAD_NUMBERS:
-            proc = run_bin(lint, flag, bad, EXAMPLE_PTIR)
-            assert_usage_exit(proc, 1, "hybridpt-lint %s %r" % (flag, bad))
-
-
-def test_fuzz_rejects_bad_numeric_flags():
-    fuzz = _bin("fuzz")
-    if not fuzz:
-        print("skip: hybridpt-fuzz binary not provided (--fuzz)")
-        return
-    for flag in ("--max-programs", "--budget-ms", "--deadline-ms",
-                 "--solver-budget"):
-        for bad in BAD_NUMBERS:
-            proc = run_bin(fuzz, flag, bad, "--max-programs", "1",
-                           "--quiet")
-            assert_usage_exit(proc, 2, "hybridpt-fuzz %s %r" % (flag, bad))
-    # A program count past uint32 used to truncate silently.
-    proc = run_bin(fuzz, "--max-programs", "4294967296")
-    assert_usage_exit(proc, 2, "hybridpt-fuzz --max-programs 2^32")
 
 
 # Thread-count flags get only values that no parser, strict or lax, can
@@ -380,27 +321,97 @@ def assert_rejected(proc, code, flag, context):
     assert flag in proc.stderr, (context, proc.stderr[-300:])
 
 
-def test_serve_rejects_bad_numeric_flags():
-    # Before: `--deadline-ms abc --max-memory-mb -1` started the daemon
-    # and exited 0, the garbage read as 0 and the -1 wrapped.
-    serve = _bin("serve")
-    if not serve:
-        print("skip: hybridpt-serve binary not provided (--serve)")
+# The one bad-flag-value corpus (checks/Cli.h parses every flag below):
+# per tool, the arguments around the flag under test, the documented usage
+# exit code, and the flags with the values each must reject.  The guard
+# flags are shared by hybridpt, hybridpt-lint and hybridpt-serve.
+GUARD_FLAGS = ("--budget", "--max-facts", "--max-memory-mb", "--deadline-ms")
+# A megabyte count whose byte budget (MB * 10^6) would wrap.
+WRAPPING_MB = "18446744073709551"
+BAD_FLAG_TOOLS = {
+    "hybridpt": {"code": 1, "before": [], "after": [EXAMPLE_PTIR],
+                 "numbers": GUARD_FLAGS + ("--threads",), "counts": ()},
+    "lint": {"code": 1, "before": [], "after": [EXAMPLE_PTIR],
+             "numbers": GUARD_FLAGS, "counts": ()},
+    "serve": {"code": 2, "before": ["--program", EXAMPLE_PTIR], "after": [],
+              "numbers": GUARD_FLAGS + ("--queue", "--cache",
+                                        "--retry-after-ms"),
+              "counts": ("--workers",)},
+    "table1": {"code": 1, "before": [], "after": ["luindex"],
+               "numbers": (), "counts": ("--threads",)},
+}
+
+
+def test_bad_flag_values_are_reported_one_way():
+    # Before: `hybridpt-lint --budget abc` printed only the usage text,
+    # `table1_main luindex --json` said "unknown benchmark '--json'", and
+    # each tool worded a bad value its own way.  Now a bad or missing
+    # value names the flag on stderr and ends in the tool's usage exit
+    # code, before any solve or thread starts.
+    ran = False
+    for tool, spec in sorted(BAD_FLAG_TOOLS.items()):
+        binary = _bin(tool)
+        if not binary:
+            print("skip: %s binary not provided (--%s)" % (tool, tool))
+            continue
+        ran = True
+        out = os.path.join(tempfile.mkdtemp(), "cells.json")
+        before = spec["before"] + (["--json", out] if tool == "table1"
+                                   else [])
+        code = spec["code"]
+        cases = [(f, bad) for f in spec["numbers"] for bad in BAD_NUMBERS]
+        # Counts skip "0" where it is valid (table1: hardware threads).
+        cases += [(f, bad) for f in spec["counts"] for bad in BAD_COUNTS
+                  if not (tool == "table1" and bad == "0")]
+        if "--max-memory-mb" in spec["numbers"]:
+            cases.append(("--max-memory-mb", WRAPPING_MB))
+        for flag, bad in cases:
+            proc = run_bin(binary, *before, flag, bad, *spec["after"])
+            context = "%s %s %r" % (tool, flag, bad)
+            assert_rejected(proc, code, flag, context)
+            assert "bad value" in proc.stderr, (context, proc.stderr)
+        # A value-taking flag at the end of the line has no value.
+        for flag in spec["numbers"] + spec["counts"] + (
+                ("--json",) if tool == "table1" else ()):
+            proc = run_bin(binary, *before, *spec["after"], flag)
+            context = "%s %s (missing value)" % (tool, flag)
+            assert_rejected(proc, code, flag, context)
+            assert "needs a value" in proc.stderr, (context, proc.stderr)
+        assert not os.path.exists(out), ("table1 wrote JSON", out)
+    if not ran:
         return
-    for flag in ("--deadline-ms", "--max-memory-mb", "--queue", "--cache",
-                 "--budget", "--max-facts", "--retry-after-ms"):
+    # Control: well-formed values still run.
+    hybridpt = _bin("hybridpt")
+    if hybridpt:
+        proc = run_bin(hybridpt, "--budget", "0", "--max-facts", "0",
+                       "--max-memory-mb", "0", "--deadline-ms", "0",
+                       "--threads", "1", EXAMPLE_PTIR)
+        assert proc.returncode == 0, proc.stderr
+        assert "ABORTED" not in proc.stdout, proc.stdout
+    lint = _lint()
+    if lint:
+        proc = run_bin(lint, "--budget", "0", "--max-facts", "0",
+                       "--max-memory-mb", "0", "--deadline-ms", "0",
+                       EXAMPLE_PTIR)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_fuzz_rejects_bad_numeric_flags():
+    fuzz = _bin("fuzz")
+    if not fuzz:
+        print("skip: hybridpt-fuzz binary not provided (--fuzz)")
+        return
+    for flag in ("--max-programs", "--budget-ms", "--deadline-ms",
+                 "--solver-budget"):
         for bad in BAD_NUMBERS:
-            proc = run_bin(serve, "--program", EXAMPLE_PTIR, flag, bad)
-            assert_rejected(proc, 2, flag, "hybridpt-serve %s %r" % (flag,
-                                                                   bad))
-    proc = run_bin(serve, "--program", EXAMPLE_PTIR, "--max-memory-mb",
-                   "18446744073709551")
-    assert_rejected(proc, 2, "--max-memory-mb",
-                    "hybridpt-serve --max-memory-mb wraps")
-    for bad in BAD_COUNTS:
-        proc = run_bin(serve, "--program", EXAMPLE_PTIR, "--workers", bad)
-        assert_rejected(proc, 2, "--workers",
-                        "hybridpt-serve --workers %r" % bad)
+            proc = run_bin(fuzz, flag, bad, "--max-programs", "1",
+                           "--quiet")
+            assert_rejected(proc, 2, flag,
+                            "hybridpt-fuzz %s %r" % (flag, bad))
+    # A program count past uint32 used to truncate silently.
+    proc = run_bin(fuzz, "--max-programs", "4294967296")
+    assert_rejected(proc, 2, "--max-programs",
+                    "hybridpt-fuzz --max-programs 2^32")
 
 
 def test_replay_rejects_bad_flags():

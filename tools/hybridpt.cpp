@@ -70,6 +70,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Cli.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "irtext/TextFormat.h"
@@ -85,11 +86,8 @@
 #include "pta/Trace.h"
 #include "pta/VariantRunner.h"
 #include "support/Cancel.h"
-#include "support/ParseInt.h"
 #include "support/TableWriter.h"
 #include "support/ThreadPool.h"
-#include "taint/Taint.h"
-#include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
 #include <climits>
@@ -98,7 +96,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 
 using namespace pt;
 
@@ -112,9 +109,9 @@ struct CliOptions {
   std::string CallGraphDotPath;
   std::string PointsToDotFocus;
   std::vector<std::string> DumpVars;
-  uint64_t BudgetMs = 0;
-  uint64_t MaxFacts = 0;
-  uint64_t MaxMemoryMb = 0;
+  /// Guards, heartbeat cadence and the derivation recorder (owned by
+  /// main(); null when provenance is off) of every run.
+  SolverOptions Solver;
   uint64_t DeadlineMs = 0;
   bool Ladder = false;
   std::vector<std::string> LadderRungs;
@@ -130,8 +127,6 @@ struct CliOptions {
   std::string ChromeTraceOut;
   bool Progress = false;
   bool ExplainAbort = false;
-  uint64_t HeartbeatSteps = 65536;
-  uint64_t HeartbeatMs = 250;
   /// Provenance mode (hybridpt explain / --provenance / --why / --blame).
   bool Explain = false;
   bool Provenance = false;
@@ -140,9 +135,6 @@ struct CliOptions {
   size_t BlameTopK = 0;
   bool ValidateWhy = false;
   std::string ProfileOut;
-  /// The run's derivation recorder, owned by main(); null when provenance
-  /// is off.
-  prov::Recorder *Prov = nullptr;
 
   bool wantsProvenance() const {
     return Provenance || Explain || !WhyQueries.empty() || BlameTopK != 0 ||
@@ -207,76 +199,12 @@ void finishTrace(trace::TraceRecorder *Rec, const CliOptions &Cli) {
     std::cerr << "chrome trace: " << Error << "\n";
 }
 
-std::vector<std::string> splitCommaList(std::string_view Spec) {
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= Spec.size()) {
-    size_t End = Spec.find(',', Pos);
-    if (End == std::string_view::npos)
-      End = Spec.size();
-    if (End > Pos)
-      Out.emplace_back(Spec.substr(Pos, End - Pos));
-    Pos = End + 1;
-  }
-  return Out;
-}
-
 SolverOptions solverOptions(const CliOptions &Cli, trace::TraceRecorder *Rec,
                             const CancelToken *Cancel) {
-  SolverOptions Opts;
-  Opts.TimeBudgetMs = Cli.BudgetMs;
-  Opts.MaxFacts = Cli.MaxFacts;
-  Opts.MemoryBudgetBytes = Cli.MaxMemoryMb * 1000000;
+  SolverOptions Opts = Cli.Solver;
   Opts.Cancel = Cancel;
   Opts.Trace = Rec;
-  Opts.HeartbeatSteps = Cli.HeartbeatSteps;
-  Opts.HeartbeatMs = Cli.HeartbeatMs;
-  Opts.Prov = Cli.Prov;
   return Opts;
-}
-
-/// Heap allocation site whose name matches \p Name exactly; invalid when
-/// absent or ambiguous-free (first match wins — heap names are unique per
-/// program in practice).
-HeapId findHeapByName(const Program &P, std::string_view Name) {
-  for (size_t H = 0; H < P.numHeaps(); ++H) {
-    HeapId Id = HeapId::fromIndex(H);
-    if (P.text(P.heap(Id).Name) == Name)
-      return Id;
-  }
-  return HeapId();
-}
-
-/// One --why query: "var=Class::method/arity::var,heap=siteName".  The
-/// context is deliberately not part of the grammar: the query means "in
-/// any context", which is what a user chasing a spurious fact wants.
-struct WhyQuery {
-  std::string VarPath;
-  std::string HeapName;
-};
-
-bool parseWhyQuery(std::string_view Spec, WhyQuery &Out, std::string &Error) {
-  for (const std::string &Part : splitCommaList(Spec)) {
-    size_t Eq = Part.find('=');
-    if (Eq == std::string::npos) {
-      Error = "bad --why component '" + Part + "' (want key=value)";
-      return false;
-    }
-    std::string Key = Part.substr(0, Eq), Val = Part.substr(Eq + 1);
-    if (Key == "var")
-      Out.VarPath = Val;
-    else if (Key == "heap")
-      Out.HeapName = Val;
-    else {
-      Error = "unknown --why key '" + Key + "' (var, heap)";
-      return false;
-    }
-  }
-  if (Out.VarPath.empty() || Out.HeapName.empty()) {
-    Error = "--why needs both var= and heap=";
-    return false;
-  }
-  return true;
 }
 
 void printBlameText(const prov::BlameReport &B) {
@@ -299,46 +227,9 @@ void printBlameText(const prov::BlameReport &B) {
 /// finished provenance-enabled run.  Returns the process exit code.
 int runProvenanceQueries(const Program &P, const AnalysisResult &R,
                          ContextPolicy *Policy, const CliOptions &Cli) {
-  prov::Recorder &Rec = *Cli.Prov;
-  int Exit = 0;
-  for (const std::string &Spec : Cli.WhyQueries) {
-    WhyQuery Q;
-    std::string Error;
-    if (!parseWhyQuery(Spec, Q, Error)) {
-      std::cerr << Error << "\n";
-      return 1;
-    }
-    VarId V = findVarByPath(P, Q.VarPath);
-    if (!V.isValid()) {
-      std::cerr << "no variable '" << Q.VarPath << "'\n";
-      return 1;
-    }
-    HeapId H = findHeapByName(P, Q.HeapName);
-    if (!H.isValid()) {
-      std::cerr << "no heap site '" << Q.HeapName << "'\n";
-      return 1;
-    }
-    prov::DerivationTree Tree = prov::whyPointsTo(Rec, R, V, CtxId(), H);
-    if (Cli.WhyFormat == "json")
-      std::cout << prov::renderTreeJson(Rec, R, Tree) << "\n";
-    else if (Cli.WhyFormat == "dot")
-      std::cout << prov::renderTreeDot(Rec, R, Tree);
-    else
-      std::cout << prov::renderTreeText(Rec, R, Tree);
-    if (!Tree.Found) {
-      Exit = 1;
-      continue;
-    }
-    if (Cli.ValidateWhy) {
-      prov::ValidationResult VR = prov::validateTree(Rec, R, Tree, Policy);
-      if (VR.Ok) {
-        std::cout << "validation: ok (" << VR.CheckedSteps << " steps)\n";
-      } else {
-        std::cout << "validation: FAILED — " << VR.Error << "\n";
-        Exit = 1;
-      }
-    }
-  }
+  prov::Recorder &Rec = *Cli.Solver.Prov;
+  int Exit = cli::answerWhy(Cli.WhyQueries, P, R, Rec, Cli.WhyFormat,
+                            Cli.ValidateWhy ? Policy : nullptr);
   if (Cli.BlameTopK != 0) {
     prov::BlameReport B = prov::blame(Rec, R, Cli.BlameTopK);
     if (Cli.WhyFormat == "json")
@@ -522,16 +413,11 @@ int main(int argc, char **argv) {
     Opts.Explain = true;
     FirstArg = 2;
   }
-  for (int I = FirstArg; I < argc; ++I) {
-    std::string_view Arg = argv[I];
-    bool NumOk = true; // Cleared by a numeric flag whose value is bad.
-    auto Value = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::cerr << Arg << " needs a value\n";
-        exit(1);
-      }
-      return argv[++I];
-    };
+  cli::Args Args("hybridpt", argc, argv, 1, FirstArg);
+  while (Args.more()) {
+    std::string_view Arg = Args.next();
+    if (Args.guard(Opts.Solver, Opts.DeadlineMs))
+      continue;
     if (Arg == "--list-policies") {
       for (const std::string &N : allPolicyNames())
         std::cout << N << "\n";
@@ -543,39 +429,29 @@ int main(int argc, char **argv) {
       return 0;
     }
     if (Arg == "--policy")
-      Opts.Policy = Value();
+      Opts.Policy = Args.value();
     else if (Arg == "--compare")
-      Opts.Compare = Value();
+      Opts.Compare = Args.value();
     else if (Arg == "--dump-vpt")
-      Opts.DumpVars.push_back(Value());
+      Opts.DumpVars.push_back(Args.value());
     else if (Arg == "--dump-facts")
-      Opts.FactsDir = Value();
+      Opts.FactsDir = Args.value();
     else if (Arg == "--dot-callgraph")
-      Opts.CallGraphDotPath = Value();
+      Opts.CallGraphDotPath = Args.value();
     else if (Arg == "--dot-pointsto")
-      Opts.PointsToDotFocus = Value();
-    else if (Arg == "--budget")
-      NumOk = parseU64(Value(), Opts.BudgetMs);
-    else if (Arg == "--max-facts")
-      NumOk = parseU64(Value(), Opts.MaxFacts);
-    else if (Arg == "--max-memory-mb")
-      // Capped so the byte budget (MB * 10^6) cannot wrap.
-      NumOk = parseU64(Value(), Opts.MaxMemoryMb, UINT64_MAX / 1000000);
-    else if (Arg == "--deadline-ms")
-      NumOk = parseU64(Value(), Opts.DeadlineMs);
+      Opts.PointsToDotFocus = Args.value();
     else if (Arg == "--ladder")
       Opts.Ladder = true;
     else if (Arg == "--ladder-rungs") {
       Opts.Ladder = true;
-      Opts.LadderRungs = splitCommaList(Value());
-    } else if (Arg == "--threads") {
+      Opts.LadderRungs = cli::splitCommaList(Args.value());
+    } else if (Arg == "--threads")
       // 0 = one worker per hardware thread, resolved through the one
       // shared rule so every tool agrees (docs/PERF.md).
-      uint64_t N = 0;
-      NumOk = parseU64(Value(), N, UINT_MAX);
-      Opts.Threads = resolveThreads(static_cast<unsigned>(N));
-    } else if (Arg == "--taint-spec")
-      Opts.TaintSpecPath = Value();
+      Opts.Threads =
+          resolveThreads(static_cast<unsigned>(Args.number(0, UINT_MAX)));
+    else if (Arg == "--taint-spec")
+      Opts.TaintSpecPath = Args.value();
     else if (Arg == "--matrix")
       Opts.Matrix = true;
     else if (Arg == "--metrics")
@@ -589,48 +465,41 @@ int main(int argc, char **argv) {
     else if (Arg == "--csv")
       Opts.Csv = true;
     else if (Arg == "--trace-out")
-      Opts.TraceOut = Value();
+      Opts.TraceOut = Args.value();
     else if (Arg == "--chrome-trace")
-      Opts.ChromeTraceOut = Value();
+      Opts.ChromeTraceOut = Args.value();
     else if (Arg == "--progress")
       Opts.Progress = true;
     else if (Arg == "--explain-abort")
       Opts.ExplainAbort = true;
     else if (Arg == "--heartbeat-steps")
-      NumOk = parseU64(Value(), Opts.HeartbeatSteps);
+      Opts.Solver.HeartbeatSteps = Args.number();
     else if (Arg == "--heartbeat-ms")
-      NumOk = parseU64(Value(), Opts.HeartbeatMs);
+      Opts.Solver.HeartbeatMs = Args.number();
     else if (Arg == "--provenance")
       Opts.Provenance = true;
     else if (Arg == "--why")
-      Opts.WhyQueries.push_back(Value());
+      Opts.WhyQueries.push_back(Args.value());
     else if (Arg == "--format") {
-      Opts.WhyFormat = Value();
+      Opts.WhyFormat = Args.value();
       if (Opts.WhyFormat != "text" && Opts.WhyFormat != "json" &&
           Opts.WhyFormat != "dot") {
         std::cerr << "unknown --format '" << Opts.WhyFormat
                   << "' (text, json, dot)\n";
         return 1;
       }
-    } else if (Arg == "--blame") {
-      uint64_t K = 0;
-      NumOk = parseU64(Value(), K, SIZE_MAX);
-      Opts.BlameTopK = static_cast<size_t>(K);
-    } else if (Arg == "--validate")
+    } else if (Arg == "--blame")
+      Opts.BlameTopK = Args.number(0, SIZE_MAX);
+    else if (Arg == "--validate")
       Opts.ValidateWhy = true;
     else if (Arg == "--profile-out")
-      Opts.ProfileOut = Value();
-    else if (Arg.size() >= 2 && Arg.substr(0, 2) == "--")
+      Opts.ProfileOut = Args.value();
+    else if (Arg.starts_with("--"))
       return usage(argv[0]);
     else if (Opts.Input.empty())
       Opts.Input = Arg;
     else
       return usage(argv[0]);
-    if (!NumOk) {
-      std::cerr << "bad value '" << argv[I] << "' for " << Arg
-                << " (expected an unsigned decimal integer)\n";
-      return usage(argv[0]);
-    }
   }
   if (Opts.Input.empty())
     return usage(argv[0]);
@@ -656,7 +525,7 @@ int main(int argc, char **argv) {
                  "(HYBRIDPT_PROVENANCE=0)\n";
     return 1;
 #endif
-    Opts.Prov = &ProvRec;
+    Opts.Solver.Prov = &ProvRec;
   }
 
   // Cooperative cancellation: ^C (or the --deadline-ms expiry) trips the
@@ -683,48 +552,23 @@ int main(int argc, char **argv) {
       Rec->enableProgress(std::cerr);
   }
 
-  // Load the program.
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  const Program *P = nullptr;
+  // Load the program.  --taint-spec instruments it before solving, so
+  // every downstream consumer (metrics, clients, provenance, --matrix)
+  // sees the taint objects.
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> Prog;
   {
     trace::TraceRecorder::Span ParseSpan(Rec.get(), "parse", "phase");
-    if (isBenchmarkName(Opts.Input)) {
-      Bench = buildBenchmark(Opts.Input);
-      P = Bench.Prog.get();
-    } else {
-      std::ifstream In(Opts.Input);
-      if (!In) {
-        std::cerr << "cannot open '" << Opts.Input << "'\n";
-        return 1;
-      }
-      std::stringstream Buffer;
-      Buffer << In.rdbuf();
-      ParseResult Parsed = parseProgram(Buffer.str(), Opts.Input);
-      if (!Parsed.ok()) {
-        for (const std::string &E : Parsed.Errors)
-          std::cerr << "parse error: " << E << "\n";
-        return 1;
-      }
-      Owned = std::move(Parsed.Prog);
-      P = Owned.get();
-    }
+    Prog = cli::loadProgram(Opts.Input, Errors);
   }
-
-  // --taint-spec: instrument before solving, so every downstream consumer
-  // (metrics, clients, provenance, --matrix) sees the taint objects.
-  std::unique_ptr<Program> Instrumented;
-  if (!Opts.TaintSpecPath.empty()) {
-    taint::SpecParseResult Spec = taint::parseSpecFile(Opts.TaintSpecPath);
-    if (!Spec.ok()) {
-      for (const std::string &E : Spec.Errors)
-        std::cerr << "taint spec error: " << E << "\n";
-      return 1;
-    }
-    taint::TaintPlan Plan = taint::resolve(Spec.Spec, *P);
-    Instrumented = taint::instrument(*P, Plan);
-    P = Instrumented.get();
+  if (Prog && !Opts.TaintSpecPath.empty())
+    Prog = cli::instrumentTaint(*Prog, Opts.TaintSpecPath, Errors);
+  if (!Prog) {
+    for (const std::string &E : Errors)
+      std::cerr << E << "\n";
+    return 1;
   }
+  const Program *P = Prog.get();
 
   if (Opts.Matrix)
     return runMatrix(*P, Opts, Rec.get(), &Cancel);
@@ -839,7 +683,7 @@ int main(int argc, char **argv) {
     // The comparison run must not record into the main run's arena: fact
     // payloads embed per-run dense object ids.
     CliOptions OtherOpts = Opts;
-    OtherOpts.Prov = nullptr;
+    OtherOpts.Solver.Prov = nullptr;
     RunOutcome Other = analyze(*P, Opts.Compare, OtherOpts, Rec.get(),
                                Opts.Input + "/" + Opts.Compare, &Cancel);
     if (!Other.R) {
@@ -852,7 +696,7 @@ int main(int argc, char **argv) {
   }
 
   int ExitCode = 0;
-  if (Opts.Prov)
+  if (Opts.Solver.Prov)
     ExitCode = runProvenanceQueries(*P, R, Main.Policy.get(), Opts);
   finishTrace(Rec.get(), Opts);
   return ExitCode;

@@ -47,13 +47,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Cli.h"
 #include "context/PolicyRegistry.h"
 #include "fuzz/Driver.h"
 #include "support/Cancel.h"
-#include "support/ParseInt.h"
 
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -80,62 +79,37 @@ int main(int argc, char **argv) {
   bool Quiet = false;
   uint64_t DeadlineMs = 0;
 
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    uint64_t N = 0;
-    if (std::strcmp(Arg, "--seed") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, Opts.Seed))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--max-programs") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, N, UINT32_MAX))
-        return usage(argv[0]);
-      Opts.MaxPrograms = static_cast<uint32_t>(N);
-    } else if (std::strcmp(Arg, "--budget-ms") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, Opts.BudgetMs))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--minimize") == 0) {
+  // A missing or malformed flag value names the flag and exits 2.
+  cli::Args Args("hybridpt-fuzz", argc, argv, 2);
+  while (Args.more()) {
+    std::string_view Arg = Args.next();
+    if (Arg == "--seed") {
+      Opts.Seed = Args.number();
+    } else if (Arg == "--max-programs") {
+      Opts.MaxPrograms = static_cast<uint32_t>(Args.number(0, UINT32_MAX));
+    } else if (Arg == "--budget-ms") {
+      Opts.BudgetMs = Args.number();
+    } else if (Arg == "--minimize") {
       Opts.Minimize = true;
-    } else if (std::strcmp(Arg, "--no-minimize") == 0) {
+    } else if (Arg == "--no-minimize") {
       Opts.Minimize = false;
-    } else if (std::strcmp(Arg, "--regress-dir") == 0) {
-      const char *V = Next();
-      if (!V)
-        return usage(argv[0]);
-      Opts.RegressDir = V;
-    } else if (std::strcmp(Arg, "--policy") == 0) {
-      const char *V = Next();
-      if (!V)
-        return usage(argv[0]);
-      Opts.Policies.push_back(V);
-    } else if (std::strcmp(Arg, "--full-diff-every") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, N, UINT32_MAX))
-        return usage(argv[0]);
-      Opts.FullDiffEvery = static_cast<uint32_t>(N);
-    } else if (std::strcmp(Arg, "--max-failures") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, N, UINT32_MAX))
-        return usage(argv[0]);
-      Opts.MaxFailures = static_cast<uint32_t>(N);
-    } else if (std::strcmp(Arg, "--solver-budget") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, Opts.SolverTimeBudgetMs))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--check-provenance") == 0) {
+    } else if (Arg == "--regress-dir") {
+      Opts.RegressDir = Args.value();
+    } else if (Arg == "--policy") {
+      Opts.Policies.push_back(Args.value());
+    } else if (Arg == "--full-diff-every") {
+      Opts.FullDiffEvery = static_cast<uint32_t>(Args.number(0, UINT32_MAX));
+    } else if (Arg == "--max-failures") {
+      Opts.MaxFailures = static_cast<uint32_t>(Args.number(0, UINT32_MAX));
+    } else if (Arg == "--solver-budget") {
+      Opts.SolverTimeBudgetMs = Args.number();
+    } else if (Arg == "--check-provenance") {
       Opts.CheckProvenance = true;
-    } else if (std::strcmp(Arg, "--check-taint") == 0) {
+    } else if (Arg == "--check-taint") {
       Opts.CheckTaint = true;
-    } else if (std::strcmp(Arg, "--deadline-ms") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, DeadlineMs))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--quiet") == 0) {
+    } else if (Arg == "--deadline-ms") {
+      DeadlineMs = Args.number();
+    } else if (Arg == "--quiet") {
       Quiet = true;
     } else {
       std::cerr << "unknown option: " << Arg << "\n";

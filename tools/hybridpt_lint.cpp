@@ -49,41 +49,34 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Cli.h"
 #include "checks/Driver.h"
 #include "checks/Render.h"
 #include "checks/Sarif.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
-#include "irtext/TextFormat.h"
+#include "pta/provenance/Provenance.h"
 #include "support/Cancel.h"
-#include "support/ParseInt.h"
-#include "taint/Taint.h"
-#include "workloads/Profiles.h"
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace pt;
 
 namespace {
 
 struct CliOptions {
-  std::string Policy = "2obj+H";
   std::string Format = "text";
   std::string Output;
   std::string Input;
   std::string ComparePair;
-  std::vector<std::string> Checks;
-  uint64_t BudgetMs = 0;
-  uint64_t MaxFacts = 0;
-  uint64_t MaxMemoryMb = 0;
   uint64_t DeadlineMs = 0;
   bool Provenance = false;
   std::vector<std::string> WhyQueries;
   std::string TaintSpecPath;
   std::string FailOn;
+  /// Policy, checker selection and solver options of the run.
+  checks::LintOptions Lint;
 };
 
 int usage(const char *Argv0) {
@@ -99,16 +92,6 @@ int usage(const char *Argv0) {
                "       "
             << Argv0 << " --list-checks | --list-policies\n";
   return 1;
-}
-
-std::vector<std::string> splitList(const std::string &S) {
-  std::vector<std::string> Out;
-  std::stringstream SS(S);
-  std::string Item;
-  while (std::getline(SS, Item, ','))
-    if (!Item.empty())
-      Out.push_back(Item);
-  return Out;
 }
 
 int listChecks() {
@@ -127,70 +110,42 @@ int listChecks() {
 
 int main(int argc, char **argv) {
   CliOptions Opts;
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    auto Next = [&](std::string &Into) {
-      if (I + 1 >= argc)
-        return false;
-      Into = argv[++I];
-      return true;
-    };
-    std::string Val;
-    if (!std::strcmp(Arg, "--list-checks")) {
+  cli::Args Args("hybridpt-lint", argc, argv, 1);
+  while (Args.more()) {
+    std::string_view Arg = Args.next();
+    if (Args.guard(Opts.Lint.Solver, Opts.DeadlineMs))
+      continue;
+    if (Arg == "--list-checks") {
       return listChecks();
-    } else if (!std::strcmp(Arg, "--list-policies")) {
+    } else if (Arg == "--list-policies") {
       for (const std::string &Name : allPolicyNames())
         std::cout << Name << "\n";
       return 0;
-    } else if (!std::strcmp(Arg, "--policy")) {
-      if (!Next(Opts.Policy))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--checks")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.Checks = splitList(Val);
-    } else if (!std::strcmp(Arg, "--format")) {
-      if (!Next(Opts.Format))
-        return usage(argv[0]);
+    } else if (Arg == "--policy") {
+      Opts.Lint.Policy = Args.value();
+    } else if (Arg == "--checks") {
+      Opts.Lint.Checks = cli::splitCommaList(Args.value());
+    } else if (Arg == "--format") {
+      Opts.Format = Args.value();
       if (Opts.Format != "text" && Opts.Format != "jsonl" &&
           Opts.Format != "sarif")
         return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--output")) {
-      if (!Next(Opts.Output))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--compare")) {
-      if (!Next(Opts.ComparePair))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--budget")) {
-      if (!Next(Val) || !parseU64(Val, Opts.BudgetMs))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--max-facts")) {
-      if (!Next(Val) || !parseU64(Val, Opts.MaxFacts))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--max-memory-mb")) {
-      // Capped so the byte budget (MB * 10^6) cannot wrap.
-      if (!Next(Val) ||
-          !parseU64(Val, Opts.MaxMemoryMb, UINT64_MAX / 1000000))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--deadline-ms")) {
-      if (!Next(Val) || !parseU64(Val, Opts.DeadlineMs))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--provenance")) {
+    } else if (Arg == "--output") {
+      Opts.Output = Args.value();
+    } else if (Arg == "--compare") {
+      Opts.ComparePair = Args.value();
+    } else if (Arg == "--provenance") {
       Opts.Provenance = true;
-    } else if (!std::strcmp(Arg, "--why")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.WhyQueries.push_back(Val);
-    } else if (!std::strcmp(Arg, "--taint-spec")) {
-      if (!Next(Opts.TaintSpecPath))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--fail-on")) {
-      if (!Next(Opts.FailOn))
-        return usage(argv[0]);
+    } else if (Arg == "--why") {
+      Opts.WhyQueries.push_back(Args.value());
+    } else if (Arg == "--taint-spec") {
+      Opts.TaintSpecPath = Args.value();
+    } else if (Arg == "--fail-on") {
+      Opts.FailOn = Args.value();
       if (Opts.FailOn != "note" && Opts.FailOn != "warning" &&
           Opts.FailOn != "error")
         return usage(argv[0]);
-    } else if (Arg[0] == '-') {
+    } else if (Arg.starts_with('-')) {
       return usage(argv[0]);
     } else if (Opts.Input.empty()) {
       Opts.Input = Arg;
@@ -201,45 +156,18 @@ int main(int argc, char **argv) {
   if (Opts.Input.empty())
     return usage(argv[0]);
 
-  // Load the program: a built-in benchmark name or a PTIR file.
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  const Program *P = nullptr;
-  if (isBenchmarkName(Opts.Input)) {
-    Bench = buildBenchmark(Opts.Input);
-    P = Bench.Prog.get();
-  } else {
-    std::ifstream In(Opts.Input);
-    if (!In) {
-      std::cerr << "cannot open '" << Opts.Input << "'\n";
-      return 1;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    ParseResult Parsed = parseProgram(Buffer.str(), Opts.Input);
-    if (!Parsed.ok()) {
-      for (const std::string &E : Parsed.Errors)
-        std::cerr << "parse error: " << E << "\n";
-      return 1;
-    }
-    Owned = std::move(Parsed.Prog);
-    P = Owned.get();
-  }
-
   // Taint instrumentation rewrites the program before any analysis, so
   // both the single-run and --compare paths see the instrumented IR.
-  std::unique_ptr<Program> Instrumented;
-  if (!Opts.TaintSpecPath.empty()) {
-    taint::SpecParseResult Spec = taint::parseSpecFile(Opts.TaintSpecPath);
-    if (!Spec.ok()) {
-      for (const std::string &E : Spec.Errors)
-        std::cerr << "taint spec error: " << E << "\n";
-      return 1;
-    }
-    taint::TaintPlan Plan = taint::resolve(Spec.Spec, *P);
-    Instrumented = taint::instrument(*P, Plan);
-    P = Instrumented.get();
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> Prog = cli::loadProgram(Opts.Input, Errors);
+  if (Prog && !Opts.TaintSpecPath.empty())
+    Prog = cli::instrumentTaint(*Prog, Opts.TaintSpecPath, Errors);
+  if (!Prog) {
+    for (const std::string &E : Errors)
+      std::cerr << E << "\n";
+    return 1;
   }
+  const Program *P = Prog.get();
 
   std::ofstream OutFile;
   std::ostream *OS = &std::cout;
@@ -258,13 +186,8 @@ int main(int argc, char **argv) {
   installSigintCancel(Cancel);
   if (Opts.DeadlineMs != 0)
     Cancel.setDeadlineMs(Opts.DeadlineMs);
-
-  checks::LintOptions LOpts;
-  LOpts.Checks = Opts.Checks;
-  LOpts.TimeBudgetMs = Opts.BudgetMs;
-  LOpts.MaxFacts = Opts.MaxFacts;
-  LOpts.MemoryBudgetBytes = Opts.MaxMemoryMb * 1000000;
-  LOpts.Cancel = &Cancel;
+  checks::LintOptions &LOpts = Opts.Lint;
+  LOpts.Solver.Cancel = &Cancel;
 
   prov::Recorder ProvRec;
   if (Opts.Provenance || !Opts.WhyQueries.empty()) {
@@ -278,7 +201,7 @@ int main(int argc, char **argv) {
                    "(two runs cannot share one derivation arena)\n";
       return 1;
     }
-    LOpts.Prov = &ProvRec;
+    LOpts.Solver.Prov = &ProvRec;
     LOpts.KeepResult = !Opts.WhyQueries.empty();
   }
 
@@ -288,7 +211,7 @@ int main(int argc, char **argv) {
                    "monotonicity diff already gates via exit 2)\n";
       return 1;
     }
-    std::vector<std::string> Pair = splitList(Opts.ComparePair);
+    std::vector<std::string> Pair = cli::splitCommaList(Opts.ComparePair);
     if (Pair.size() != 2) {
       std::cerr << "--compare wants BASE,REFINED\n";
       return 1;
@@ -313,7 +236,6 @@ int main(int argc, char **argv) {
     return CR.monotonicityViolations().empty() ? 0 : 2;
   }
 
-  LOpts.Policy = Opts.Policy;
   checks::LintRun Run = checks::lintProgram(*P, LOpts);
   if (!Run.ok()) {
     std::cerr << "error: " << Run.Error << "\n";
@@ -326,57 +248,22 @@ int main(int argc, char **argv) {
 
   if (Opts.Format == "text") {
     checks::renderText(*OS, *P, Run.Diags);
-    *OS << Run.Diags.size() << " diagnostic(s) under policy " << Opts.Policy
+    *OS << Run.Diags.size() << " diagnostic(s) under policy " << LOpts.Policy
         << "\n";
   } else if (Opts.Format == "jsonl") {
-    checks::renderJsonl(*OS, *P, Run.Diags, Opts.Policy);
+    checks::renderJsonl(*OS, *P, Run.Diags, LOpts.Policy);
   } else {
     checks::SarifOptions SOpts;
-    SOpts.PolicyName = Opts.Policy;
+    SOpts.PolicyName = LOpts.Policy;
     checks::writeSarif(*OS, *P, Run.Diags, Run.Rules, SOpts);
   }
 
-  // --why queries run against the kept result: derivation trees go to
-  // stdout (never the --output report file).
-  int Exit = 0;
-  for (const std::string &Spec : Opts.WhyQueries) {
-    std::string VarPath, HeapName;
-    for (const std::string &Part : splitList(Spec)) {
-      size_t Eq = Part.find('=');
-      std::string Key = Eq == std::string::npos ? Part : Part.substr(0, Eq);
-      std::string V = Eq == std::string::npos ? "" : Part.substr(Eq + 1);
-      if (Key == "var")
-        VarPath = V;
-      else if (Key == "heap")
-        HeapName = V;
-      else {
-        std::cerr << "unknown --why key '" << Key << "' (var, heap)\n";
-        return 1;
-      }
-    }
-    if (VarPath.empty() || HeapName.empty()) {
-      std::cerr << "--why needs both var= and heap=\n";
-      return 1;
-    }
-    VarId V = findVarByPath(*P, VarPath);
-    if (!V.isValid()) {
-      std::cerr << "no variable '" << VarPath << "'\n";
-      return 1;
-    }
-    HeapId H;
-    for (size_t HI = 0; HI < P->numHeaps(); ++HI)
-      if (P->text(P->heap(HeapId::fromIndex(HI)).Name) == HeapName)
-        H = HeapId::fromIndex(HI);
-    if (!H.isValid()) {
-      std::cerr << "no heap site '" << HeapName << "'\n";
-      return 1;
-    }
-    prov::DerivationTree Tree =
-        prov::whyPointsTo(ProvRec, *Run.Result, V, CtxId(), H);
-    std::cout << prov::renderTreeText(ProvRec, *Run.Result, Tree);
-    if (!Tree.Found)
-      Exit = 1;
-  }
+  // --why queries run against the kept result (kept only when there are
+  // queries): derivation trees go to stdout (never the --output report
+  // file).
+  int Exit = Opts.WhyQueries.empty()
+                 ? 0
+                 : cli::answerWhy(Opts.WhyQueries, *P, *Run.Result, ProvRec);
 
   // --fail-on gating: exit 4 when any diagnostic reaches the threshold.
   if (Exit == 0 && !Opts.FailOn.empty()) {

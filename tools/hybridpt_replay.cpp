@@ -29,6 +29,7 @@
 
 #include "serve/Canon.h"
 #include "serve/Epoch.h"
+#include "checks/Cli.h"
 #include "checks/Driver.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
@@ -36,7 +37,6 @@
 #include "pta/Metrics.h"
 #include "pta/Solver.h"
 #include "support/Json.h"
-#include "support/ParseInt.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -380,12 +380,10 @@ struct LocalOracle {
       checks::LintRun Run = checks::runCheckers(result(Policy), {});
       return lintLines(P, Run.Diags, Policy);
     }
-    if (Req.Kind == "compare") {
-      checks::LintOptions LO;
-      checks::CompareResult CR =
-          checks::comparePolicies(P, BasePolicy, Policy, LO);
-      return compareLines(CR);
-    }
+    if (Req.Kind == "compare")
+      return compareLines(checks::compareRuns(
+          BasePolicy, checks::runCheckers(result(BasePolicy)), Policy,
+          checks::runCheckers(result(Policy))));
     return {};
   }
 };
@@ -492,36 +490,27 @@ int runOverloadCheck(const Options &Opts, const std::string &VarPath) {
 
 int main(int argc, char **argv) {
   Options Opts;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Value = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::cerr << "hybridpt-replay: " << Arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    // A numeric flag value in [Min, Max]; anything else exits 2 here,
-    // before the daemon or any client thread starts.
-    auto Num = [&](uint64_t Min, uint64_t Max) {
-      return parseU64OrExit("hybridpt-replay", Arg, Value(), Min, Max, 2);
-    };
+  // A missing or malformed flag value exits 2 here, before the daemon or
+  // any client thread starts.
+  cli::Args Args("hybridpt-replay", argc, argv, 2);
+  while (Args.more()) {
+    std::string_view Arg = Args.next();
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
     }
     if (Arg == "--program")
-      Opts.Program = Value();
+      Opts.Program = Args.value();
     else if (Arg == "--serve-bin")
-      Opts.ServeBin = Value();
+      Opts.ServeBin = Args.value();
     else if (Arg == "--requests")
-      Opts.Requests = Num(0, UINT64_MAX);
+      Opts.Requests = Args.number();
     else if (Arg == "--concurrency")
-      Opts.Concurrency = static_cast<unsigned>(Num(1, MaxThreads));
+      Opts.Concurrency = static_cast<unsigned>(Args.number(1, MaxThreads));
     else if (Arg == "--seed")
-      Opts.Seed = Num(0, UINT64_MAX);
+      Opts.Seed = Args.number();
     else if (Arg == "--fault-rate") {
-      const char *Text = Value();
+      const char *Text = Args.value();
       const char *End = Text + std::strlen(Text);
       double F = -1;
       auto [Ptr, Ec] = std::from_chars(Text, End, F);
@@ -532,23 +521,23 @@ int main(int argc, char **argv) {
       }
       Opts.FaultRate = F;
     } else if (Arg == "--policy")
-      Opts.Policy = Value();
+      Opts.Policy = Args.value();
     else if (Arg == "--base-policy")
-      Opts.BasePolicy = Value();
+      Opts.BasePolicy = Args.value();
     else if (Arg == "--workers")
-      Opts.Workers = static_cast<unsigned>(Num(1, MaxThreads));
+      Opts.Workers = static_cast<unsigned>(Args.number(1, MaxThreads));
     else if (Arg == "--queue")
-      Opts.Queue = Num(0, UINT64_MAX);
+      Opts.Queue = Args.number();
     else if (Arg == "--deadline-ms")
-      Opts.DeadlineMs = Num(0, UINT64_MAX);
+      Opts.DeadlineMs = Args.number();
     else if (Arg == "--budget")
-      Opts.BudgetMs = Num(0, UINT64_MAX);
+      Opts.BudgetMs = Args.number();
     else if (Arg == "--verify")
       Opts.Verify = true;
     else if (Arg == "--overload-check")
       Opts.OverloadCheck = true;
     else if (Arg == "--out")
-      Opts.OutPath = Value();
+      Opts.OutPath = Args.value();
     else {
       std::cerr << "hybridpt-replay: unknown option '" << Arg << "'\n";
       printUsage();
@@ -652,9 +641,7 @@ int main(int argc, char **argv) {
               Rq.Kind == "callgraph" || Rq.Kind == "compare";
     if (Rq.Work) {
       ++WorkOrdinal;
-      // Compare runs outside the fault hook (see serve/Server.cpp), so
-      // faults are scheduled onto the other work kinds only.
-      if (Rq.Kind != "compare" && Unit(Rng) < Opts.FaultRate) {
+      if (Unit(Rng) < Opts.FaultRate) {
         Rq.Faulted = true;
         ++FaultCount;
         if (!FaultSpec.empty())

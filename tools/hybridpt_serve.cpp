@@ -19,10 +19,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Cli.h"
 #include "serve/Server.h"
 #include "support/Cancel.h"
 #include "support/FaultPlan.h"
-#include "support/ParseInt.h"
 
 #include <cerrno>
 #include <csignal>
@@ -242,54 +242,38 @@ int main(int argc, char **argv) {
   std::string FaultSpec, TraceOut, Listen;
   bool HaveFaultSpec = false;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Value = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::cerr << "hybridpt-serve: " << Arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    // A numeric flag value in [Min, Max]; anything else exits 2 here,
-    // before any worker thread starts.
-    auto Num = [&](uint64_t Min, uint64_t Max) {
-      return parseU64OrExit("hybridpt-serve", Arg, Value(), Min, Max, 2);
-    };
+  // A missing or malformed flag value exits 2 here, before any worker
+  // thread starts.
+  cli::Args Args("hybridpt-serve", argc, argv, 2);
+  while (Args.more()) {
+    std::string_view Arg = Args.next();
+    if (Args.guard(Opts.Solver, Opts.DefaultDeadlineMs))
+      continue;
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
     }
     if (Arg == "--program")
-      Opts.ProgramSpec = Value();
+      Opts.ProgramSpec = Args.value();
     else if (Arg == "--policy")
-      Opts.DefaultPolicy = Value();
+      Opts.DefaultPolicy = Args.value();
     else if (Arg == "--workers")
-      Opts.Workers = static_cast<unsigned>(Num(1, MaxWorkers));
+      Opts.Workers = static_cast<unsigned>(Args.number(1, MaxWorkers));
     else if (Arg == "--queue")
-      Opts.QueueLimit = Num(0, SIZE_MAX);
+      Opts.QueueLimit = Args.number(0, SIZE_MAX);
     else if (Arg == "--cache")
-      Opts.CacheEntries = Num(0, SIZE_MAX);
-    else if (Arg == "--deadline-ms")
-      Opts.DefaultDeadlineMs = Num(0, UINT64_MAX);
-    else if (Arg == "--budget")
-      Opts.DefaultBudgetMs = Num(0, UINT64_MAX);
-    else if (Arg == "--max-facts")
-      Opts.DefaultMaxFacts = Num(0, UINT64_MAX);
-    else if (Arg == "--max-memory-mb")
-      // Capped so the byte budget (MB * 10^6) cannot wrap.
-      Opts.DefaultMaxMemoryMb = Num(0, UINT64_MAX / 1000000);
+      Opts.CacheEntries = Args.number(0, SIZE_MAX);
     else if (Arg == "--retry-after-ms")
-      Opts.RetryAfterMs = Num(0, UINT64_MAX);
+      Opts.RetryAfterMs = Args.number();
     else if (Arg == "--no-ladder")
       Opts.UseLadder = false;
     else if (Arg == "--fault-plan") {
-      FaultSpec = Value();
+      FaultSpec = Args.value();
       HaveFaultSpec = true;
     } else if (Arg == "--trace-out")
-      TraceOut = Value();
+      TraceOut = Args.value();
     else if (Arg == "--listen")
-      Listen = Value();
+      Listen = Args.value();
     else {
       std::cerr << "hybridpt-serve: unknown option '" << Arg << "'\n";
       printUsage();
