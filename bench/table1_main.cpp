@@ -15,9 +15,10 @@
 ///
 /// Dash entries mean the per-cell budget expired (paper: 90-minute
 /// timeout; here HYBRIDPT_BUDGET_MS, default 120s).  Pass benchmark names
-/// as arguments to restrict the run; pass --csv for machine-readable
-/// output; pass --threads N to fan the independent cells of each
-/// benchmark out over N workers (0 = hardware concurrency).  Every run
+/// as arguments to restrict the run (--help lists them and the options);
+/// pass --csv for machine-readable output; pass --threads N to fan the
+/// independent cells of each benchmark out over N workers (0 = hardware
+/// concurrency).  Every run
 /// also records its cells to BENCH_table1.json (override with --json
 /// PATH) so tools/check_bench_regression.py can track the perf
 /// trajectory across commits.  With --taint-spec FILE every benchmark is
@@ -61,10 +62,21 @@ int main(int argc, char **argv) {
   std::string TaintSpec;
   std::vector<std::string> Selected;
   MatrixOptions Opts = matrixOptionsFromEnv();
+  auto Usage = [](std::ostream &OS) {
+    OS << "usage: table1_main [options] [benchmark...]\nbenchmarks:";
+    for (const std::string &N : benchmarkNames())
+      OS << ' ' << N;
+    OS << "\noptions: --csv, --ladder, --threads N, --taint-spec FILE, "
+          "--json PATH, --profile-out PATH, --trace-out FILE, "
+          "--chrome-trace FILE, --progress, --help\n";
+  };
   cli::Args Args("table1_main", argc, argv, 1);
   while (Args.more()) {
     std::string_view Arg = Args.next();
-    if (Arg == "--csv") {
+    if (Arg == "--help" || Arg == "-h") {
+      Usage(std::cout);
+      return 0;
+    } else if (Arg == "--csv") {
       Csv = true;
     } else if (Arg == "--ladder") {
       Opts.UseLadder = true;
@@ -88,12 +100,8 @@ int main(int argc, char **argv) {
     } else if (isBenchmarkName(Arg)) {
       Selected.emplace_back(Arg);
     } else {
-      std::cerr << "unknown benchmark '" << Arg << "'; known:";
-      for (const std::string &N : benchmarkNames())
-        std::cerr << ' ' << N;
-      std::cerr << "\n(options: --csv, --ladder, --threads N, "
-                   "--taint-spec FILE, --json PATH, --profile-out PATH, "
-                   "--trace-out FILE, --chrome-trace FILE, --progress)\n";
+      std::cerr << "unknown benchmark '" << Arg << "'\n";
+      Usage(std::cerr);
       return 1;
     }
   }

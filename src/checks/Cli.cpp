@@ -16,6 +16,7 @@
 #include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -33,6 +34,20 @@ const char *Args::value() {
 
 uint64_t Args::number(uint64_t Min, uint64_t Max) {
   return parseU64OrExit(Tool, Flag, value(), Min, Max, ExitCode);
+}
+
+const char *Args::choice(std::initializer_list<std::string_view> Allowed) {
+  const char *V = value();
+  if (std::find(Allowed.begin(), Allowed.end(), V) != Allowed.end())
+    return V;
+  std::cerr << Tool << ": unknown " << Flag << " '" << V << "' (";
+  const char *Sep = "";
+  for (std::string_view A : Allowed) {
+    std::cerr << Sep << A;
+    Sep = ", ";
+  }
+  std::cerr << ")\n";
+  std::exit(ExitCode);
 }
 
 bool Args::guard(SolverOptions &Solver, uint64_t &DeadlineMs) {

@@ -20,6 +20,7 @@
 #define HYBRIDPT_CHECKS_CLI_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -56,6 +57,9 @@ public:
   /// That value as a decimal integer in [\p Min, \p Max]
   /// (support/ParseInt.h).
   uint64_t number(uint64_t Min = 0, uint64_t Max = UINT64_MAX);
+  /// That value, which must be one of \p Allowed; anything else is
+  /// reported as "<Tool>: unknown <flag> '<value>' (a, b, ...)".
+  const char *choice(std::initializer_list<std::string_view> Allowed);
   /// Consumes the flag just read when it is a guard flag: --budget MS,
   /// --max-facts N and --max-memory-mb N land in \p Solver, --deadline-ms
   /// MS in \p DeadlineMs.  False (nothing consumed) for any other flag.

@@ -293,18 +293,8 @@ void Solver::addEdge(uint32_t From, uint32_t To) {
     return;
   }
   PT_COUNT(Counters.EdgesAdded);
-  Nodes[From].Edges.push_back(To);
-  // Replay facts already present at the source.  ObjectSet positions are
-  // stable under insertion, so walk by index instead of copying the set;
-  // re-read the node each step since Nodes may reallocate through
-  // reentrant graph growth.
-  uint32_t Count = Nodes[From].Set.size();
-  PT_COUNT_ADD(Counters.FactsReplayed, Count);
-  for (uint32_t I = 0; I < Count; ++I) {
-    uint32_t Obj = Nodes[From].Set.at(I);
-    if (addFact(To, Obj) && provOn())
-      provEdgeStep(From, To, Obj, /*IsCast=*/false);
-  }
+  PT_COUNT_ADD(Counters.FactsReplayed, Nodes[From].Set.size());
+  subscribe(From, SubKind::Edge, To, 0);
 }
 
 bool Solver::passesCastFilter(uint32_t Obj, TypeId Filter) const {
@@ -318,14 +308,73 @@ bool Solver::passesCastFilter(uint32_t Obj, TypeId Filter) const {
 
 void Solver::addCastEdge(uint32_t From, uint32_t To, TypeId Filter) {
   PT_COUNT(Counters.EdgesAdded);
-  Nodes[From].CastEdges.push_back({To, Filter});
-  uint32_t Count = Nodes[From].Set.size();
-  PT_COUNT_ADD(Counters.FactsReplayed, Count);
-  for (uint32_t I = 0; I < Count; ++I) {
-    uint32_t Obj = Nodes[From].Set.at(I);
+  PT_COUNT_ADD(Counters.FactsReplayed, Nodes[From].Set.size());
+  subscribe(From, SubKind::Cast, To, Filter.rawValue());
+}
+
+void Solver::subscribe(uint32_t NodeIdx, SubKind K, uint32_t A, uint32_t B) {
+  Nodes[NodeIdx].Subs.push_back({K, A, B});
+  Nodes[NodeIdx].Kinds |= uint8_t(1u << unsigned(K));
+  // Replay the facts already present.  ObjectSet positions are stable, so
+  // walk by index instead of copying the set, and capture the size up
+  // front: facts arriving mid-replay stay in the node's pending suffix and
+  // reach the new subscription through the worklist.
+  uint32_t Count = Nodes[NodeIdx].Set.size();
+  for (uint32_t I = 0; I < Count; ++I)
+    propagate(NodeIdx, {K, A, B}, Nodes[NodeIdx].Set.at(I));
+}
+
+void Solver::propagate(uint32_t NodeIdx, Sub S, uint32_t Obj) {
+  switch (S.Kind) {
+  case SubKind::Dispatch:
+    dispatch(InvokeId(S.A), CtxId(S.B), Obj);
+    return;
+  case SubKind::ThrowSub:
+    // This node is the thrown variable; its fact is the raise premise.
+    routeThrow(Obj, MethodId(S.A), CtxId(S.B),
+               provOn() ? provFact(NodeIdx, Obj) : prov::InvalidFact);
+    return;
+  case SubKind::ThrowLink: {
+    // This node is a callee throw slot; the link's call edge is the aux.
+    uint32_t WhyPrem = prov::InvalidFact, WhyAux = prov::InvalidFact;
+    if (provOn()) {
+      WhyPrem = provFact(NodeIdx, Obj);
+      uint64_t DedupKey = mix64(packPair(S.A, S.B)) ^
+                          (static_cast<uint64_t>(NodeIdx) << 1);
+      if (const uint32_t *Aux = ThrowLinkWhy.find(DedupKey))
+        WhyAux = *Aux;
+    }
+    routeThrow(Obj, MethodId(S.A), CtxId(S.B), WhyPrem, WhyAux);
+    return;
+  }
+  case SubKind::Load: {
+    PT_COUNT(Counters.RuleLoad);
+    slowRule(FaultRule::Load);
+    uint32_t FN = fieldNode(Obj, FieldId(S.A));
+    if (provOn())
+      noteEdgeWhy(FN, S.B, prov::Rule::Load, provFact(NodeIdx, Obj));
+    addEdge(FN, S.B);
+    return;
+  }
+  case SubKind::Store: {
+    PT_COUNT(Counters.RuleStore);
+    slowRule(FaultRule::Store);
+    uint32_t FN = fieldNode(Obj, FieldId(S.A));
+    if (provOn())
+      noteEdgeWhy(S.B, FN, prov::Rule::Store, provFact(NodeIdx, Obj));
+    addEdge(S.B, FN);
+    return;
+  }
+  case SubKind::Edge:
+    if (addFact(S.A, Obj) && provOn())
+      provEdgeStep(NodeIdx, S.A, Obj, /*IsCast=*/false);
+    return;
+  case SubKind::Cast:
     PT_COUNT(Counters.RuleCast);
-    if (passesCastFilter(Obj, Filter) && addFact(To, Obj) && provOn())
-      provEdgeStep(From, To, Obj, /*IsCast=*/true);
+    slowRule(FaultRule::Cast);
+    if (passesCastFilter(Obj, TypeId(S.B)) && addFact(S.A, Obj) && provOn())
+      provEdgeStep(NodeIdx, S.A, Obj, /*IsCast=*/true);
+    return;
   }
 }
 
@@ -387,24 +436,11 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   }
 
   // LOAD / STORE: subscribe on the base variable.  Each object that ever
-  // reaches the base connects the field slot to the local variable.  The
-  // replay loops below capture the set size up front: facts arriving
-  // mid-replay stay in the node's pending suffix and reach the new
-  // subscription through the worklist.
+  // reaches the base connects the field slot to the local variable.
   for (const LoadInstr &L : Body.Loads) {
     slowRule(FaultRule::Load);
     uint32_t Base = varNode(L.Base, Ctx);
-    uint32_t To = varNode(L.To, Ctx);
-    Nodes[Base].Loads.push_back({L.Fld, To});
-    uint32_t Count = Nodes[Base].Set.size();
-    for (uint32_t I = 0; I < Count; ++I) {
-      uint32_t Obj = Nodes[Base].Set.at(I);
-      PT_COUNT(Counters.RuleLoad);
-      uint32_t FN = fieldNode(Obj, L.Fld);
-      if (provOn())
-        noteEdgeWhy(FN, To, prov::Rule::Load, provFact(Base, Obj));
-      addEdge(FN, To);
-    }
+    subscribe(Base, SubKind::Load, L.Fld.index(), varNode(L.To, Ctx));
   }
   for (uint32_t SI = 0; SI < Body.Stores.size(); ++SI) {
     const StoreInstr &S = Body.Stores[SI];
@@ -414,17 +450,7 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
       continue;
     slowRule(FaultRule::Store);
     uint32_t Base = varNode(S.Base, Ctx);
-    uint32_t From = varNode(S.From, Ctx);
-    Nodes[Base].Stores.push_back({S.Fld, From});
-    uint32_t Count = Nodes[Base].Set.size();
-    for (uint32_t I = 0; I < Count; ++I) {
-      uint32_t Obj = Nodes[Base].Set.at(I);
-      PT_COUNT(Counters.RuleStore);
-      uint32_t FN = fieldNode(Obj, S.Fld);
-      if (provOn())
-        noteEdgeWhy(From, FN, prov::Rule::Store, provFact(Base, Obj));
-      addEdge(From, FN);
-    }
+    subscribe(Base, SubKind::Store, S.Fld.index(), varNode(S.From, Ctx));
   }
 
   // Static field accesses: global, context-free slots (Doop's model).
@@ -445,16 +471,8 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
 
   // Throws: every object reaching the thrown variable is routed through
   // this frame's handlers (or escapes).
-  for (const ThrowInstr &T : Body.Throws) {
-    uint32_t VNode = varNode(T.V, Ctx);
-    Nodes[VNode].ThrowSubs.push_back(packPair(M.index(), Ctx.index()));
-    uint32_t Count = Nodes[VNode].Set.size();
-    for (uint32_t I = 0; I < Count; ++I) {
-      uint32_t Obj = Nodes[VNode].Set.at(I);
-      routeThrow(Obj, M, Ctx,
-                 provOn() ? provFact(VNode, Obj) : prov::InvalidFact);
-    }
-  }
+  for (const ThrowInstr &T : Body.Throws)
+    subscribe(varNode(T.V, Ctx), SubKind::ThrowSub, M.index(), Ctx.index());
 
   // Calls.
   for (InvokeId Inv : Body.Invokes) {
@@ -471,11 +489,8 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     } else {
       // VCALL: subscribe on the receiver; dispatch per arriving object
       // (Figure 2, second-to-last rule).
-      uint32_t Base = varNode(Call.Base, Ctx);
-      Nodes[Base].Dispatches.push_back({Inv, Ctx});
-      uint32_t Count = Nodes[Base].Set.size();
-      for (uint32_t I = 0; I < Count; ++I)
-        dispatch({Inv, Ctx}, Nodes[Base].Set.at(I));
+      subscribe(varNode(Call.Base, Ctx), SubKind::Dispatch, Inv.index(),
+                Ctx.index());
     }
   }
 }
@@ -522,37 +537,31 @@ void Solver::addThrowLink(uint32_t ThrowNodeIdx, MethodId CallerM,
     return;
   if (provOn())
     ThrowLinkWhy.tryEmplace(DedupKey, WhyAux);
-  Nodes[ThrowNodeIdx].ThrowLinks.push_back(Link);
-  uint32_t Count = Nodes[ThrowNodeIdx].Set.size();
-  for (uint32_t I = 0; I < Count; ++I) {
-    uint32_t Obj = Nodes[ThrowNodeIdx].Set.at(I);
-    routeThrow(Obj, CallerM, CallerCtx,
-               provOn() ? provFact(ThrowNodeIdx, Obj) : prov::InvalidFact,
-               WhyAux);
-  }
+  subscribe(ThrowNodeIdx, SubKind::ThrowLink, CallerM.index(),
+            CallerCtx.index());
 }
 
-void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj) {
+void Solver::dispatch(InvokeId Invo, CtxId CallerCtx, uint32_t Obj) {
   if (checkBudget())
     return;
   PT_COUNT(Counters.RuleVCall);
   slowRule(FaultRule::VCall);
-  const InvokeInfo &Call = Prog.invoke(Sub.Invo);
+  const InvokeInfo &Call = Prog.invoke(Invo);
   HeapId Heap = ObjHeaps[Obj];
   HCtxId HCtx = ObjHCtxs[Obj];
   // LOOKUP(heapT, sig, toMeth).
   MethodId Callee = Prog.lookup(Prog.heap(Heap).Type, Call.Sig);
   if (!Callee.isValid())
     return; // No receiver method: the concrete execution would throw.
-  CtxId CalleeCtx = Policy.merge(Heap, HCtx, Sub.Invo, Sub.CallerCtx);
+  CtxId CalleeCtx = Policy.merge(Heap, HCtx, Invo, CallerCtx);
   // Provenance: the receiver fact justifies the call edge, the call edge
   // justifies callee reachability and the this-binding.  The edge fact is
   // interned eagerly (interning is not a derivation step); its own step is
   // recorded by wireCall on the first successful edge insert.
   uint32_t BaseFact = prov::InvalidFact, CEFact = prov::InvalidFact;
   if (provOn()) {
-    BaseFact = prov::varPointsTo(*Opts.Prov, Call.Base, Sub.CallerCtx, Obj);
-    CEFact = prov::callEdgeFact(*Opts.Prov, Sub.Invo, Sub.CallerCtx, Callee,
+    BaseFact = prov::varPointsTo(*Opts.Prov, Call.Base, CallerCtx, Obj);
+    CEFact = prov::callEdgeFact(*Opts.Prov, Invo, CallerCtx, Callee,
                                 CalleeCtx);
   }
   // THISVAR binding: only this receiver object flows into `this` under the
@@ -563,8 +572,7 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj) {
   if (addFact(ThisN, Obj) && provOn())
     Opts.Prov->step(provFact(ThisN, Obj), prov::Rule::ThisBind, BaseFact,
                     CEFact);
-  wireCall(Sub.Invo, Sub.CallerCtx, Callee, CalleeCtx, prov::Rule::VCall,
-           BaseFact);
+  wireCall(Invo, CallerCtx, Callee, CalleeCtx, prov::Rule::VCall, BaseFact);
 
   // Receiver-dependent shortcut edges (context/CutShortcut.h), wired per
   // (call site, receiver object).  This cannot live in wireCall: the call
@@ -576,13 +584,13 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj) {
     for (const CutShortcutPlan::StoreCut &SC : MP.StoreCuts) {
       if (SC.FormalIdx >= Call.Actuals.size())
         continue; // Arity mismatch: the generic param bind drops it too.
-      uint32_t FromN = varNode(Call.Actuals[SC.FormalIdx], Sub.CallerCtx);
+      uint32_t FromN = varNode(Call.Actuals[SC.FormalIdx], CallerCtx);
       uint32_t FN = fieldNode(Obj, SC.Fld);
       noteEdgeWhy(FromN, FN, prov::Rule::ShortcutStore, CEFact);
       addEdge(FromN, FN);
     }
     if (MP.RetCut && Call.RetTo.isValid()) {
-      uint32_t RetN = varNode(Call.RetTo, Sub.CallerCtx);
+      uint32_t RetN = varNode(Call.RetTo, CallerCtx);
       for (FieldId F : MP.RetLoads) {
         uint32_t FN = fieldNode(Obj, F);
         noteEdgeWhy(FN, RetN, prov::Rule::ShortcutRetLoad, CEFact);
@@ -685,9 +693,10 @@ void Solver::processDelta(uint32_t NodeIdx) {
   //
   // Subscriptions may grow while we iterate (body instantiation reached
   // through dispatch can add loads on this very node), so use index loops
-  // and re-read the vectors from Nodes[NodeIdx] each step.  Subscriptions
-  // added mid-processing replay the full set themselves, which includes
-  // this delta; processing them again here is idempotent.
+  // and re-read the list from Nodes[NodeIdx] each step.  One pass per kind
+  // present, in SubKind order (see Node).  Subscriptions added
+  // mid-processing replay the full set themselves, which includes this
+  // delta; processing them again here is idempotent.
   while (true) {
     if (Aborted)
       return;
@@ -698,62 +707,14 @@ void Solver::processDelta(uint32_t NodeIdx) {
     }
     uint32_t Obj = Nodes[NodeIdx].Set.at(Nodes[NodeIdx].Scanned++);
 
-    for (size_t I = 0; I < Nodes[NodeIdx].Dispatches.size(); ++I) {
-      DispatchSub Sub = Nodes[NodeIdx].Dispatches[I];
-      dispatch(Sub, Obj);
-    }
-    for (size_t I = 0; I < Nodes[NodeIdx].ThrowSubs.size(); ++I) {
-      uint64_t Frame = Nodes[NodeIdx].ThrowSubs[I];
-      // This node is the thrown variable; its fact is the raise premise.
-      routeThrow(Obj, MethodId(unpackHi(Frame)), CtxId(unpackLo(Frame)),
-                 provOn() ? provFact(NodeIdx, Obj) : prov::InvalidFact);
-    }
-    for (size_t I = 0; I < Nodes[NodeIdx].ThrowLinks.size(); ++I) {
-      uint64_t Frame = Nodes[NodeIdx].ThrowLinks[I];
-      // This node is a callee throw slot; the link's call edge is the aux.
-      uint32_t WhyPrem = prov::InvalidFact, WhyAux = prov::InvalidFact;
-      if (provOn()) {
-        WhyPrem = provFact(NodeIdx, Obj);
-        uint64_t DedupKey =
-            mix64(Frame) ^ (static_cast<uint64_t>(NodeIdx) << 1);
-        if (const uint32_t *Aux = ThrowLinkWhy.find(DedupKey))
-          WhyAux = *Aux;
+    for (unsigned K = 0; K < NumSubKinds; ++K) {
+      if (!((Nodes[NodeIdx].Kinds >> K) & 1))
+        continue;
+      for (size_t I = 0; I < Nodes[NodeIdx].Subs.size(); ++I) {
+        Sub S = Nodes[NodeIdx].Subs[I];
+        if (unsigned(S.Kind) == K)
+          propagate(NodeIdx, S, Obj);
       }
-      routeThrow(Obj, MethodId(unpackHi(Frame)), CtxId(unpackLo(Frame)),
-                 WhyPrem, WhyAux);
-    }
-    for (size_t I = 0; I < Nodes[NodeIdx].Loads.size(); ++I) {
-      LoadSub Sub = Nodes[NodeIdx].Loads[I];
-      PT_COUNT(Counters.RuleLoad);
-      slowRule(FaultRule::Load);
-      uint32_t FN = fieldNode(Obj, Sub.Fld);
-      if (provOn())
-        noteEdgeWhy(FN, Sub.ToNode, prov::Rule::Load,
-                    provFact(NodeIdx, Obj));
-      addEdge(FN, Sub.ToNode);
-    }
-    for (size_t I = 0; I < Nodes[NodeIdx].Stores.size(); ++I) {
-      StoreSub Sub = Nodes[NodeIdx].Stores[I];
-      PT_COUNT(Counters.RuleStore);
-      slowRule(FaultRule::Store);
-      uint32_t FN = fieldNode(Obj, Sub.Fld);
-      if (provOn())
-        noteEdgeWhy(Sub.FromNode, FN, prov::Rule::Store,
-                    provFact(NodeIdx, Obj));
-      addEdge(Sub.FromNode, FN);
-    }
-    for (size_t I = 0; I < Nodes[NodeIdx].Edges.size(); ++I) {
-      uint32_t To = Nodes[NodeIdx].Edges[I];
-      if (addFact(To, Obj) && provOn())
-        provEdgeStep(NodeIdx, To, Obj, /*IsCast=*/false);
-    }
-    for (size_t I = 0; I < Nodes[NodeIdx].CastEdges.size(); ++I) {
-      CastEdge E = Nodes[NodeIdx].CastEdges[I];
-      PT_COUNT(Counters.RuleCast);
-      slowRule(FaultRule::Cast);
-      if (passesCastFilter(Obj, E.Filter) && addFact(E.ToNode, Obj) &&
-          provOn())
-        provEdgeStep(NodeIdx, E.ToNode, Obj, /*IsCast=*/true);
     }
   }
 }
@@ -805,18 +766,11 @@ AnalysisResult Solver::run() {
 }
 
 size_t Solver::memoryBytes() const {
+  static_assert(sizeof(Node) <= 64, "one cache line per solver node");
   size_t Bytes = Nodes.capacity() * sizeof(Node) +
                  Descs.capacity() * sizeof(NodeDesc);
-  for (const Node &N : Nodes) {
-    Bytes += N.Set.memoryBytes();
-    Bytes += N.Edges.capacity() * sizeof(uint32_t);
-    Bytes += N.CastEdges.capacity() * sizeof(CastEdge);
-    Bytes += N.Loads.capacity() * sizeof(LoadSub);
-    Bytes += N.Stores.capacity() * sizeof(StoreSub);
-    Bytes += N.Dispatches.capacity() * sizeof(DispatchSub);
-    Bytes += N.ThrowSubs.capacity() * sizeof(uint64_t);
-    Bytes += N.ThrowLinks.capacity() * sizeof(uint64_t);
-  }
+  for (const Node &N : Nodes)
+    Bytes += N.Set.memoryBytes() + N.Subs.capacity() * sizeof(Sub);
   Bytes += VarCtxIndex.memoryBytes() + FieldSlotIndex.memoryBytes() +
            StaticSlotIndex.memoryBytes() + ThrowSlotIndex.memoryBytes() +
            ThrowLinkDedup.memoryBytes() + ObjIndex.memoryBytes() +

@@ -23,10 +23,11 @@
 /// the Datalog transcription in src/ptaref).
 ///
 /// Data structures are specialized for the hot paths: per-node points-to
-/// sets are hybrid inline-vector/bitmap \c ObjectSet (append-only, so
-/// replay walks by position instead of copying a snapshot, and the
-/// difference-propagation delta is just a cursor), and every intern table
-/// and dedup set is a flat robin-hood \c FlatMap / \c FlatSet.
+/// sets are hybrid vector/bitmap \c ObjectSet (append-only, so replay walks
+/// by position instead of copying a snapshot, and the difference-propagation
+/// delta is just a cursor), a node's subscriptions of all kinds share one
+/// tagged list (a 64-byte node header; see \c Node), and every intern
+/// table and dedup set is a flat robin-hood \c FlatMap / \c FlatSet.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,40 +130,42 @@ private:
     ThrowSlot,
   };
 
-  struct LoadSub {
-    FieldId Fld;
-    uint32_t ToNode;
+  /// What a node's subscriptions do with each object arriving at it, in
+  /// the order \c processDelta runs them.
+  enum class SubKind : uint8_t {
+    Dispatch,  ///< A = invoke, B = caller ctx: VCALL on the receiver.
+    ThrowSub,  ///< A = method, B = ctx: route through the raising frame.
+    ThrowLink, ///< A = caller method, B = caller ctx: escalate (throw slot).
+    Load,      ///< A = field, B = to-node: connect the field slot.
+    Store,     ///< A = field, B = from-node: connect into the field slot.
+    Edge,      ///< A = to-node: plain copy edge.
+    Cast,      ///< A = to-node, B = raw filter type: filtered copy edge.
   };
-  struct StoreSub {
-    FieldId Fld;
-    uint32_t FromNode;
-  };
-  struct DispatchSub {
-    InvokeId Invo;
-    CtxId CallerCtx;
-  };
-  struct CastEdge {
-    uint32_t ToNode;
-    TypeId Filter;
+  static constexpr unsigned NumSubKinds = unsigned(SubKind::Cast) + 1;
+
+  struct Sub {
+    SubKind Kind;
+    uint32_t A;
+    uint32_t B;
   };
 
+  /// The per-node header, one cache line: most nodes have an empty set and
+  /// one or two kinds of subscription, so a node holds one tagged list and
+  /// a bit per kind present, not a vector per kind.  \c processDelta walks
+  /// the list once per kind present, in \c SubKind order, re-reading its
+  /// size each step: an object reaches all subscriptions of one kind, in
+  /// the order they were added, before any of the next kind.  That order
+  /// fixes which facts, counters and provenance steps a step produces.
   struct Node {
     /// The points-to set.  Append-only insertion order makes positions
     /// stable, so the pending delta is just the suffix [Scanned, size()).
     ObjectSet Set;
+    /// Subscriptions of every kind, in the order they were added.
+    std::vector<Sub> Subs;
     /// Facts [0, Scanned) have been propagated to all subscriptions.
     uint32_t Scanned = 0;
-    std::vector<uint32_t> Edges;
-    std::vector<CastEdge> CastEdges;
-    std::vector<LoadSub> Loads;
-    std::vector<StoreSub> Stores;
-    std::vector<DispatchSub> Dispatches;
-    /// On a thrown-var node: packed (method, ctx) pairs to route arriving
-    /// objects through (the raising frames).
-    std::vector<uint64_t> ThrowSubs;
-    /// On a ThrowSlot node: packed (callerMethod, callerCtx) pairs the
-    /// escaping objects escalate into.
-    std::vector<uint64_t> ThrowLinks;
+    /// Bit \c 1 << SubKind for each kind present in \c Subs.
+    uint8_t Kinds = 0;
     bool Queued = false;
   };
 
@@ -200,6 +203,12 @@ private:
   void addEdge(uint32_t From, uint32_t To);
   void addCastEdge(uint32_t From, uint32_t To, TypeId Filter);
 
+  /// Adds subscription {\p K, \p A, \p B} to node \p NodeIdx and
+  /// replays the node's current facts through it.
+  void subscribe(uint32_t NodeIdx, SubKind K, uint32_t A, uint32_t B);
+  /// Runs subscription \p S of node \p NodeIdx on one of its objects.
+  void propagate(uint32_t NodeIdx, Sub S, uint32_t Obj);
+
   /// Cast-edge filter predicate.  A valid \p Filter admits subtypes of the
   /// target type; an invalid one marks a sanitize edge and admits only
   /// objects whose allocation site carries no taint tag.
@@ -213,7 +222,7 @@ private:
                        uint32_t WhyPrem = prov::InvalidFact);
 
   /// Handles one receiver object arriving at a virtual call's base node.
-  void dispatch(const DispatchSub &Sub, uint32_t Obj);
+  void dispatch(InvokeId Invo, CtxId CallerCtx, uint32_t Obj);
 
   /// Wires argument/return edges for a discovered call-graph edge.
   /// \p CallWhy is VCall or SCall; \p CallPrem the premise fact (receiver

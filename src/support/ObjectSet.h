@@ -8,12 +8,13 @@
 /// The solver's per-node points-to set, specialized for the workload of
 /// semi-naive difference propagation over dense 32-bit object ids:
 ///
-///  - **Small sets** (the overwhelming majority of nodes) are a plain
-///    inline vector scanned linearly: a dozen contiguous u32 compares beat
-///    any hash probe and allocate exactly one buffer.
+///  - **Small sets** (the overwhelming majority of nodes) are just the
+///    heap-allocated insertion-order vector, scanned linearly: a dozen u32
+///    compares beat any hash probe and allocate exactly one buffer.
 ///  - **Large sets** promote to a chunked sparse bitmap (512-bit chunks
 ///    behind a page directory), giving O(1) membership while only paying
-///    memory for the id ranges actually populated.
+///    memory for the id ranges actually populated.  The bitmap lives out of
+///    line behind one pointer, so an unpromoted set costs a 32-byte header.
 ///
 /// Both modes keep the elements in one append-only insertion-order array,
 /// which is what makes the solver's replay paths snapshot-free: an element,
@@ -30,38 +31,40 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pt {
 
 /// A set of dense 32-bit ids with O(1) membership, stable positional
-/// iteration, and a hybrid inline-vector / chunked-bitmap representation.
+/// iteration, and a hybrid linear-vector / chunked-bitmap representation.
 class ObjectSet {
 public:
-  /// Inline capacity: sets up to this size are linear-scanned; the first
-  /// insert beyond it builds the bitmap.  Chosen so the inline buffer plus
-  /// bookkeeping stays within two cache lines for the common case.
+  /// Linear-scan limit: sets up to this size are scanned; the first insert
+  /// beyond it builds the bitmap.  Chosen so a scan stays within one cache
+  /// line of ids.
   static constexpr uint32_t InlineLimit = 12;
 
   /// True when \p V is present.
   bool contains(uint32_t V) const {
-    if (Dir.empty()) {
+    if (!Bits) {
       for (uint32_t X : Order)
         if (X == V)
           return true;
       return false;
     }
     uint32_t Page = V >> ChunkShift;
-    if (Page >= Dir.size() || Dir[Page] == NoChunk)
+    if (Page >= Bits->Dir.size() || Bits->Dir[Page] == NoChunk)
       return false;
-    const uint64_t *Chunk = &Words[size_t(Dir[Page]) * ChunkWords];
+    const uint64_t *Chunk =
+        &Bits->Words[size_t(Bits->Dir[Page]) * ChunkWords];
     uint32_t Bit = V & ChunkMask;
     return (Chunk[Bit >> 6] >> (Bit & 63)) & 1;
   }
 
   /// Inserts \p V; returns true when it was not already present.
   bool insert(uint32_t V) {
-    if (Dir.empty()) {
+    if (!Bits) {
       for (uint32_t X : Order)
         if (X == V)
           return false;
@@ -85,7 +88,7 @@ public:
   uint32_t at(uint32_t Pos) const { return Order[Pos]; }
 
   /// True once the set has promoted to the bitmap representation.
-  bool isBitmap() const { return !Dir.empty(); }
+  bool isBitmap() const { return Bits != nullptr; }
 
   /// Applies \p Fn to every element in insertion order.
   template <typename Callback> void forEach(Callback &&Fn) const {
@@ -93,11 +96,13 @@ public:
       Fn(V);
   }
 
-  /// Heap bytes held (diagnostics).
+  /// Heap bytes held (diagnostics), the out-of-line bitmap included.
   size_t memoryBytes() const {
-    return Order.capacity() * sizeof(uint32_t) +
-           Dir.capacity() * sizeof(int32_t) +
-           Words.capacity() * sizeof(uint64_t);
+    size_t Bytes = Order.capacity() * sizeof(uint32_t);
+    if (Bits)
+      Bytes += sizeof(Bitmap) + Bits->Dir.capacity() * sizeof(int32_t) +
+               Bits->Words.capacity() * sizeof(uint64_t);
+    return Bytes;
   }
 
 private:
@@ -109,6 +114,8 @@ private:
   /// Sets the bit for \p V, materializing its chunk on demand; returns
   /// true when the bit was previously clear.
   bool setBit(uint32_t V) {
+    std::vector<int32_t> &Dir = Bits->Dir;
+    std::vector<uint64_t> &Words = Bits->Words;
     uint32_t Page = V >> ChunkShift;
     if (Page >= Dir.size())
       Dir.resize(Page + 1, NoChunk);
@@ -128,14 +135,21 @@ private:
   /// Builds the bitmap from the inline elements (all distinct by
   /// construction).
   void promote() {
+    Bits = std::make_unique<Bitmap>();
     for (uint32_t V : Order)
       setBit(V);
   }
 
-  std::vector<uint32_t> Order; ///< All elements, append-only.
-  std::vector<int32_t> Dir;    ///< Page -> chunk slot; empty = inline mode.
-  std::vector<uint64_t> Words; ///< Chunk storage, \c ChunkWords apiece.
+  struct Bitmap {
+    std::vector<int32_t> Dir;    ///< Page -> chunk slot.
+    std::vector<uint64_t> Words; ///< Chunk storage, \c ChunkWords apiece.
+  };
+
+  std::vector<uint32_t> Order;  ///< All elements, append-only.
+  std::unique_ptr<Bitmap> Bits; ///< Null until promoted.
 };
+
+static_assert(sizeof(ObjectSet) <= 32, "embedded in every solver node");
 
 } // namespace pt
 

@@ -158,6 +158,90 @@ TEST(ObjectSet, SparseIdsFarApart) {
   EXPECT_LT(S.memoryBytes(), 64 * 1024u);
 }
 
+/// Checks that \p S holds exactly \p Want, in that insertion order.
+void expectElements(const ObjectSet &S, const std::vector<uint32_t> &Want) {
+  ASSERT_EQ(S.size(), Want.size());
+  for (uint32_t P = 0; P < Want.size(); ++P) {
+    EXPECT_EQ(S.at(P), Want[P]);
+    EXPECT_TRUE(S.contains(Want[P]));
+  }
+  EXPECT_FALSE(S.contains(999999));
+}
+
+TEST(ObjectSet, MoveKeepsElementsInBothModes) {
+  // Solver nodes embed their set and move with the node vector, so a
+  // move must carry the out-of-line bitmap along with the order array.
+  std::vector<uint32_t> Small = {7, 3, 11};
+  std::vector<uint32_t> Large;
+  for (uint32_t I = 0; I < 40; ++I)
+    Large.push_back(1000 + 37 * I);
+  for (const std::vector<uint32_t> *Want : {&Small, &Large}) {
+    ObjectSet S;
+    for (uint32_t V : *Want)
+      S.insert(V);
+    bool WasBitmap = S.isBitmap();
+    EXPECT_EQ(WasBitmap, Want == &Large);
+    ObjectSet Moved(std::move(S));
+    EXPECT_EQ(Moved.isBitmap(), WasBitmap);
+    expectElements(Moved, *Want);
+    ObjectSet Assigned;
+    Assigned.insert(5);
+    Assigned = std::move(Moved);
+    EXPECT_EQ(Assigned.isBitmap(), WasBitmap);
+    expectElements(Assigned, *Want);
+    // The moved-into set keeps working in its mode.
+    EXPECT_TRUE(Assigned.insert(424242));
+    EXPECT_TRUE(Assigned.contains(424242));
+    EXPECT_FALSE(Assigned.insert(Want->front()));
+  }
+}
+
+TEST(ObjectSet, VectorOfSetsSurvivesReallocation) {
+  // The solver's node array grows by reallocation while sets are live;
+  // every set, inline or promoted, must come through with its elements,
+  // positions and membership intact.
+  std::vector<ObjectSet> Sets;
+  std::vector<std::vector<uint32_t>> Want;
+  for (uint32_t I = 0; I < 200; ++I) {
+    size_t Cap = Sets.capacity();
+    Sets.emplace_back();
+    Want.emplace_back();
+    // Every third set promotes; the rest stay linear.
+    uint32_t N = I % 3 == 0 ? ObjectSet::InlineLimit + 1 + I % 7 : I % 5;
+    for (uint32_t K = 0; K < N; ++K) {
+      uint32_t V = I * 1000 + 17 * K;
+      Sets.back().insert(V);
+      Want.back().push_back(V);
+    }
+    if (Sets.capacity() != Cap)
+      for (uint32_t J = 0; J <= I; ++J)
+        expectElements(Sets[J], Want[J]);
+  }
+  for (uint32_t J = 0; J < Sets.size(); ++J) {
+    EXPECT_EQ(Sets[J].isBitmap(), J % 3 == 0);
+    expectElements(Sets[J], Want[J]);
+  }
+}
+
+TEST(ObjectSet, MemoryBytesCountsTheBitmap) {
+  ObjectSet S;
+  for (uint32_t I = 0; I < ObjectSet::InlineLimit; ++I)
+    S.insert(I);
+  ASSERT_FALSE(S.isBitmap());
+  size_t Linear = S.memoryBytes();
+  EXPECT_GE(Linear, ObjectSet::InlineLimit * sizeof(uint32_t));
+  // Promotion adds the directory and one 512-bit chunk (64 bytes) behind
+  // the pointer, on top of the order array.
+  S.insert(ObjectSet::InlineLimit);
+  ASSERT_TRUE(S.isBitmap());
+  EXPECT_GE(S.memoryBytes(), (ObjectSet::InlineLimit + 1) * sizeof(uint32_t) +
+                                 sizeof(int32_t) + 64);
+  // A chunk on a distant page grows the bitmap, not the order array alone.
+  size_t Before = S.memoryBytes();
+  S.insert(1u << 20);
+  EXPECT_GE(S.memoryBytes(), Before + 64);
+}
+
 TEST(ObjectSet, RandomizedVsUnorderedSet) {
   Rng R(77);
   ObjectSet S;

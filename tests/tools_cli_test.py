@@ -378,6 +378,18 @@ def test_bad_flag_values_are_reported_one_way():
             assert_rejected(proc, code, flag, context)
             assert "needs a value" in proc.stderr, (context, proc.stderr)
         assert not os.path.exists(out), ("table1 wrote JSON", out)
+    # A choice flag with a value outside its set names the flag, the value
+    # and the allowed values on one line, not the usage block.
+    lint = _lint()
+    if lint:
+        for flag, bad, allowed in (("--format", "xml", "(text, jsonl, sarif)"),
+                                   ("--fail-on", "bogus",
+                                    "(note, warning, error)")):
+            proc = run_bin(lint, flag, bad, EXAMPLE_PTIR)
+            context = "lint %s %r" % (flag, bad)
+            assert_rejected(proc, 1, flag, context)
+            assert proc.stderr == "hybridpt-lint: unknown %s '%s' %s\n" % (
+                flag, bad, allowed), (context, proc.stderr)
     if not ran:
         return
     # Control: well-formed values still run.
@@ -435,6 +447,25 @@ def test_replay_rejects_bad_flags():
             proc = run_bin(replay, *base, flag, bad)
             assert_rejected(proc, 2, flag, "hybridpt-replay %s %r" % (flag,
                                                                     bad))
+
+
+def test_table1_help_lists_benchmarks_and_options():
+    # --help and -h are options, not benchmark names: the list goes to
+    # stdout with exit 0.
+    table1 = _bin("table1")
+    if not table1:
+        print("skip: table1_main binary not provided (--table1)")
+        return
+    for flag in ("--help", "-h"):
+        proc = run_bin(table1, flag)
+        assert_no_traceback(proc, flag)
+        assert proc.returncode == 0, (flag, proc.returncode, proc.stderr)
+        assert proc.stderr == "", (flag, proc.stderr)
+        assert "luindex" in proc.stdout and "--threads N" in proc.stdout, (
+            flag, proc.stdout)
+    proc = run_bin(table1, "nosuchbench")
+    assert_rejected(proc, 1, "nosuchbench", "table1_main nosuchbench")
+    assert "luindex" in proc.stderr, proc.stderr
 
 
 def test_table1_rejects_bad_environment():

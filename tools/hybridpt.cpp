@@ -480,15 +480,9 @@ int main(int argc, char **argv) {
       Opts.Provenance = true;
     else if (Arg == "--why")
       Opts.WhyQueries.push_back(Args.value());
-    else if (Arg == "--format") {
-      Opts.WhyFormat = Args.value();
-      if (Opts.WhyFormat != "text" && Opts.WhyFormat != "json" &&
-          Opts.WhyFormat != "dot") {
-        std::cerr << "unknown --format '" << Opts.WhyFormat
-                  << "' (text, json, dot)\n";
-        return 1;
-      }
-    } else if (Arg == "--blame")
+    else if (Arg == "--format")
+      Opts.WhyFormat = Args.choice({"text", "json", "dot"});
+    else if (Arg == "--blame")
       Opts.BlameTopK = Args.number(0, SIZE_MAX);
     else if (Arg == "--validate")
       Opts.ValidateWhy = true;

@@ -126,10 +126,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--checks") {
       Opts.Lint.Checks = cli::splitCommaList(Args.value());
     } else if (Arg == "--format") {
-      Opts.Format = Args.value();
-      if (Opts.Format != "text" && Opts.Format != "jsonl" &&
-          Opts.Format != "sarif")
-        return usage(argv[0]);
+      Opts.Format = Args.choice({"text", "jsonl", "sarif"});
     } else if (Arg == "--output") {
       Opts.Output = Args.value();
     } else if (Arg == "--compare") {
@@ -141,10 +138,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--taint-spec") {
       Opts.TaintSpecPath = Args.value();
     } else if (Arg == "--fail-on") {
-      Opts.FailOn = Args.value();
-      if (Opts.FailOn != "note" && Opts.FailOn != "warning" &&
-          Opts.FailOn != "error")
-        return usage(argv[0]);
+      Opts.FailOn = Args.choice({"note", "warning", "error"});
     } else if (Arg.starts_with('-')) {
       return usage(argv[0]);
     } else if (Opts.Input.empty()) {
